@@ -14,12 +14,15 @@ import sys
 from pathlib import Path
 
 from . import coding, connectivity, files, tolerance
-from .errors import VSpaceError
+from .errors import ParseError, VSpaceError
 from .spaces import FiniteVSpace, induced_space, validate_space
 
 
 def _read(path: str) -> str:
-    return Path(path).read_text(encoding="utf-8")
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 (byte {exc.start}: {exc.reason})") from None
 
 
 def _write(path: str, text: str) -> None:

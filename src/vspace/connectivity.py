@@ -5,26 +5,32 @@ A cover picks one vicinity per point.  Two points are connected when
 vicinities intersect.  A cover admitting no such chain is a witness that
 the points are not connected.
 
-Two engines decide connectedness:
+Both engines search a compiled space: per point, its distinct vicinity
+sets as int bitmasks (bit m set iff m is a member), each with its first
+original index, so identical sets are collapsed (they induce identical
+overlap graphs) while witness indices refer to the original sequence.
+Vicinities meet iff their masks share a bit; one shortest-path routine
+over masks, ``_path``, serves chains, cover checks and the pruned search.
 
 * ``brute`` enumerates covers in lexicographic order of (point id,
   vicinity index) and returns the first witness found, so its witness is
-  deterministic and stable for golden tests.
-* ``pruned`` runs a branch-and-prune search over the same space.  It must
-  return the same verdict as ``brute`` and a valid witness, but not
-  necessarily the same one.
-
-Identical vicinity sets within one system are collapsed before either
-search (they induce identical overlap graphs); reported witness indices
-always refer to the original sequence.
+  deterministic and stable for golden tests.  Its budget counts covers,
+  checked up front before any search.
+* ``pruned`` runs a branch-and-prune search.  An edge is *possible* when
+  the unions of the two points' remaining options meet (some completion
+  has it) and *sure* when every pair of remaining options meets (every
+  completion has it).  Its budget counts search nodes.  It must return
+  the same verdict as ``brute`` and a valid witness, not necessarily the
+  same one.
 """
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from dataclasses import dataclass
+from functools import reduce
 from math import prod
-from typing import Mapping
+from operator import or_
+from typing import Callable, Mapping, Sequence
 
 from .errors import BudgetExceededError, ValidationError
 from .spaces import WEAK, FiniteVSpace, VicinitySystem, require_valid_space
@@ -106,24 +112,8 @@ def chain_exists(space: FiniteVSpace, cover: Cover, a: int, b: int) -> list[int]
     neighbours in ascending order, so the result is deterministic.
     """
     _require_endpoints(space, a, b)
-    adj = overlap_graph(space, cover)
-    if a == b:
-        return [a]
-    parent: dict[int, int] = {a: a}
-    queue = deque([a])
-    while queue:
-        x = queue.popleft()
-        for y in sorted(adj[x]):
-            if y not in parent:
-                parent[y] = x
-                if y == b:
-                    path = [b]
-                    while path[-1] != a:
-                        path.append(parent[path[-1]])
-                    path.reverse()
-                    return path
-                queue.append(y)
-    return None
+    chosen = chosen_vicinities(space, cover)
+    return _path([_mask(chosen[p]) for p in space.points], a, b)
 
 
 def verify_witness(space: FiniteVSpace, cover: Cover, a: int, b: int) -> bool:
@@ -131,148 +121,82 @@ def verify_witness(space: FiniteVSpace, cover: Cover, a: int, b: int) -> bool:
     return chain_exists(space, cover, a, b) is None
 
 
-def _distinct_choices(space: FiniteVSpace) -> list[list[tuple[int, frozenset[int]]]]:
-    """Per point, the distinct vicinity sets with their first original index."""
+def _mask(vicinity: frozenset[int]) -> int:
+    return sum(1 << m for m in vicinity)
+
+
+def _compile(space: FiniteVSpace) -> list[list[tuple[int, int]]]:
+    """Per point, its distinct vicinity sets as (first original index, mask)."""
     out = []
     for p in space.points:
-        system = space.system(p)
-        if not system.vicinities:
-            raise ValidationError(f"point {p} has an empty system")
-        seen: dict[frozenset[int], int] = {}
-        for i, vic in enumerate(system.vicinities):
-            if vic not in seen:
-                seen[vic] = i
-        out.append([(i, vic) for vic, i in seen.items()])
+        first: dict[int, int] = {}
+        for i, vic in enumerate(space.system(p).vicinities):
+            first.setdefault(_mask(vic), i)
+        out.append([(i, mask) for mask, i in first.items()])
     return out
 
 
-def _sets_reachable(sets: list[frozenset[int]], a: int, b: int) -> bool:
-    n = len(sets)
-    seen = [False] * n
-    seen[a] = True
-    stack = [a]
-    while stack:
-        x = stack.pop()
-        sx = sets[x]
-        for y in range(n):
-            if not seen[y] and not sx.isdisjoint(sets[y]):
+def _path(masks: Sequence[int], a: int, b: int, linked: Callable | None = None) -> list[int] | None:
+    """Shortest path from a to b, or None.
+
+    x and y are joined when their masks meet and, if given, ``linked(x, y)``
+    holds.  Neighbours are visited in ascending order, so ties are broken
+    the same way every time.
+    """
+    if a == b:
+        return [a]
+    parent = [-1] * len(masks)
+    parent[a] = a
+    queue = [a]
+    for x in queue:  # grows while it is read: breadth-first order
+        mx = masks[x]
+        for y, my in enumerate(masks):
+            if mx & my and parent[y] < 0 and (linked is None or linked(x, y)):
+                parent[y] = x
                 if y == b:
-                    return True
-                seen[y] = True
-                stack.append(y)
-    return False
+                    path = [b]
+                    while y != a:
+                        y = parent[y]
+                        path.append(y)
+                    return path[::-1]
+                queue.append(y)
+    return None
 
 
-def _brute(
-    choices: list[list[tuple[int, frozenset[int]]]],
-    a: int,
-    b: int,
-    max_covers: int,
-) -> ConnectivityVerdict:
+def _sets_reachable(masks: list[int], a: int, b: int) -> bool:
+    return _path(masks, a, b) is not None
+
+
+def _brute(choices: list[list[tuple[int, int]]], a: int, b: int, max_covers: int) -> ConnectivityVerdict:
     total = prod(len(c) for c in choices)
     if total > max_covers:
         raise BudgetExceededError(f"{total} covers exceed the budget of {max_covers}")
-    n = len(choices)
-    for combo in itertools.product(*(range(len(c)) for c in choices)):
-        sets = [choices[p][combo[p]][1] for p in range(n)]
-        if not _sets_reachable(sets, a, b):
-            witness = {p: choices[p][combo[p]][0] for p in range(n)}
-            return ConnectivityVerdict(False, witness)
+    for combo in itertools.product(*choices):
+        if not _sets_reachable([mask for _, mask in combo], a, b):
+            return ConnectivityVerdict(False, {p: i for p, (i, _) in enumerate(combo)})
     return ConnectivityVerdict(True)
 
 
 class _PrunedSearch:
     """Branch-and-prune over per-point vicinity choices.
 
-    At each node two bounding graphs are read off the remaining options:
-    *mandatory* edges are present under every completion of the partial
-    assignment, *possible* edges under at least one.  If the endpoints
-    are joined by mandatory edges no completion is a witness (prune); if
-    even the possible edges cannot join them, any completion is a witness
-    (take the first).  Otherwise branch on an undecided endpoint of some
-    non-mandatory edge along a shortest possible path.
+    At each node the remaining options of every point bound the overlap
+    graphs of all completions of the partial assignment.  If even the
+    possible edges cannot join the endpoints, any completion is a witness
+    (take option 0 wherever undecided).  If the sure edges join them, no
+    completion is a witness (prune).  Otherwise branch on an undecided
+    endpoint of the first edge that is not sure along a shortest possible
+    path.
     """
 
     def __init__(self, choices, a, b, max_nodes):
         self.choices = choices
-        self.n = len(choices)
+        self.masks = [[mask for _, mask in c] for c in choices]
         self.a = a
         self.b = b
         self.max_nodes = max_nodes
         self.nodes = 0
-        # intersect[x][y][i][j] for x < y: does option i of x meet option j of y
-        self.intersect: dict[tuple[int, int], list[list[bool]]] = {}
-        for x in range(self.n):
-            for y in range(x + 1, self.n):
-                self.intersect[(x, y)] = [
-                    [not vx.isdisjoint(vy) for _, vy in choices[y]] for _, vx in choices[x]
-                ]
-        self.assignment: list[int | None] = [
-            0 if len(choices[p]) == 1 else None for p in range(self.n)
-        ]
-
-    def _options(self, p: int) -> list[int]:
-        fixed = self.assignment[p]
-        return [fixed] if fixed is not None else list(range(len(self.choices[p])))
-
-    def _edge_flags(self, x: int, y: int) -> tuple[bool, bool]:
-        """(possible, mandatory) for the edge between x < y."""
-        matrix = self.intersect[(x, y)]
-        possible = False
-        mandatory = True
-        for i in self._options(x):
-            row = matrix[i]
-            for j in self._options(y):
-                if row[j]:
-                    possible = True
-                else:
-                    mandatory = False
-                if possible and not mandatory:
-                    return True, False
-        return possible, mandatory and possible
-
-    def _graphs(self) -> tuple[dict[int, set[int]], dict[int, set[int]], set[tuple[int, int]]]:
-        possible_adj: dict[int, set[int]] = {p: set() for p in range(self.n)}
-        mandatory_adj: dict[int, set[int]] = {p: set() for p in range(self.n)}
-        soft: set[tuple[int, int]] = set()
-        for x in range(self.n):
-            for y in range(x + 1, self.n):
-                possible, mandatory = self._edge_flags(x, y)
-                if possible:
-                    possible_adj[x].add(y)
-                    possible_adj[y].add(x)
-                if mandatory:
-                    mandatory_adj[x].add(y)
-                    mandatory_adj[y].add(x)
-                elif possible:
-                    soft.add((x, y))
-        return possible_adj, mandatory_adj, soft
-
-    @staticmethod
-    def _shortest_path(adj: dict[int, set[int]], a: int, b: int) -> list[int] | None:
-        if a == b:
-            return [a]
-        parent = {a: a}
-        queue = deque([a])
-        while queue:
-            x = queue.popleft()
-            for y in sorted(adj[x]):
-                if y not in parent:
-                    parent[y] = x
-                    if y == b:
-                        path = [b]
-                        while path[-1] != a:
-                            path.append(parent[path[-1]])
-                        path.reverse()
-                        return path
-                    queue.append(y)
-        return None
-
-    def _completion(self) -> dict[int, int]:
-        return {
-            p: self.choices[p][self.assignment[p] if self.assignment[p] is not None else 0][0]
-            for p in range(self.n)
-        }
+        self.assignment: list[int | None] = [0 if len(c) == 1 else None for c in choices]
 
     def search(self) -> dict[int, int] | None:
         self.nodes += 1
@@ -280,29 +204,29 @@ class _PrunedSearch:
             raise BudgetExceededError(
                 f"pruned search exceeded the node budget of {self.max_nodes}"
             )
-        possible_adj, mandatory_adj, soft = self._graphs()
-        if self._shortest_path(mandatory_adj, self.a, self.b) is not None:
-            return None
-        path = self._shortest_path(possible_adj, self.a, self.b)
+        assignment = self.assignment
+        options = [m if i is None else [m[i]] for m, i in zip(self.masks, assignment)]
+        unions = [reduce(or_, o) for o in options]
+        path = _path(unions, self.a, self.b)
         if path is None:
-            return self._completion()
-        branch_point = None
-        for u, v in zip(path, path[1:]):
-            key = (u, v) if u < v else (v, u)
-            if key in soft:
-                branch_point = u if self.assignment[u] is None else v
-                break
-        # A possible a-b path with no soft edge would be all-mandatory,
-        # which the prune above already caught.
-        assert branch_point is not None and self.assignment[branch_point] is None
-        for option in range(len(self.choices[branch_point])):
-            self.assignment[branch_point] = option
+            return {p: c[i or 0][0] for p, (c, i) in enumerate(zip(self.choices, assignment))}
+
+        def sure(x: int, y: int) -> bool:
+            return all(u & v for u in options[x] for v in options[y])
+
+        if _path(unions, self.a, self.b, sure) is not None:
+            return None
+        # The possible path has an edge that is not sure, else the sure
+        # search above would have joined the endpoints.
+        u, v = next((u, v) for u, v in zip(path, path[1:]) if not sure(u, v))
+        branch_point = u if assignment[u] is None else v
+        for option in range(len(self.masks[branch_point])):
+            assignment[branch_point] = option
             found = self.search()
             if found is not None:
-                self.assignment[branch_point] = None
-                return found
-        self.assignment[branch_point] = None
-        return None
+                break
+        assignment[branch_point] = None
+        return found
 
 
 def is_connected(
@@ -316,15 +240,18 @@ def is_connected(
 
     Returns ``Connected`` or ``NotConnected`` with a witness cover that
     admits no chain.  Raises BudgetExceededError rather than guessing
-    when the search space exceeds ``max_covers``.
+    when the search space exceeds ``max_covers``: covers for ``brute``,
+    search nodes for ``pruned``.
     """
+    if max_covers < 0:
+        raise ValidationError(f"max_covers must be non-negative, got {max_covers}")
     require_valid_space(space)
     _require_endpoints(space, a, b)
     if engine not in ("brute", "pruned"):
         raise ValidationError(f"unknown engine {engine!r}")
     if a == b:
         return ConnectivityVerdict(True)
-    choices = _distinct_choices(space)
+    choices = _compile(space)
     if engine == "brute":
         return _brute(choices, a, b, max_covers)
     witness = _PrunedSearch(choices, a, b, max_covers).search()

@@ -1,10 +1,12 @@
 """Line-oriented file formats.
 
-All three formats share the same lexical rules: UTF-8, LF-terminated
-lines, tokens separated by single spaces, and ``#`` starting a comment
-that runs to the end of the line.  Serialization is canonical (points
-ascending, vicinity members ascending, no comments), and parsing a
-canonical file followed by serializing reproduces it byte for byte.
+All three formats share the same lexical rules: UTF-8 text split into
+lines at LF, ``#`` starting a comment that runs to the end of the line,
+and tokens separated by any run of whitespace, so spaces and tabs both
+separate tokens and a CR before the LF is stripped.  Serialization is
+canonical (single spaces, LF line ends, points ascending, vicinity
+members ascending, no comments), and parsing a canonical file followed
+by serializing reproduces it byte for byte.
 
 SpaceFile::
 

@@ -12,24 +12,41 @@ import random
 from vspace import STRONG, WEAK, FiniteVSpace, make_space
 
 
+def _reaches(sets, a: int, b: int) -> bool:
+    """Local DFS over the overlap graph of the chosen sets."""
+    seen = {a}
+    stack = [a]
+    while stack:
+        x = stack.pop()
+        for y in range(len(sets)):
+            if y not in seen and sets[x] & sets[y]:
+                seen.add(y)
+                stack.append(y)
+    return b in seen
+
+
 def brute_force_connected(space: FiniteVSpace, a: int, b: int) -> bool:
     """Enumerate every cover over the raw (non-deduplicated) systems and
     check reachability with a local DFS."""
     pts = list(space.points)
     raw = [space.systems[p].vicinities for p in pts]
     for combo in itertools.product(*(range(len(r)) for r in raw)):
-        sets = [raw[p][combo[p]] for p in pts]
-        seen = {a}
-        stack = [a]
-        while stack:
-            x = stack.pop()
-            for y in pts:
-                if y not in seen and sets[x] & sets[y]:
-                    seen.add(y)
-                    stack.append(y)
-        if b not in seen:
+        if not _reaches([raw[p][combo[p]] for p in pts], a, b):
             return False
     return True
+
+
+def first_witness(space: FiniteVSpace, a: int, b: int) -> dict[int, int] | None:
+    """The first cover, in itertools.product order over the systems with
+    repeated sets dropped (first occurrences kept), that admits no a-b
+    chain; None when every cover admits one."""
+    pts = list(space.points)
+    raw = [space.systems[p].vicinities for p in pts]
+    firsts = [[i for i, vic in enumerate(r) if vic not in r[:i]] for r in raw]
+    for combo in itertools.product(*firsts):
+        if not _reaches([raw[p][combo[p]] for p in pts], a, b):
+            return dict(zip(pts, combo))
+    return None
 
 
 def double_loop_tolerant(space: FiniteVSpace, pi) -> set[int]:

@@ -44,6 +44,15 @@ def test_validate_parse_error(capsys):
     assert "error:" in err
 
 
+def test_non_utf8_input_is_a_parse_error(capsys, tmp_path):
+    bad = tmp_path / "bad.vs"
+    bad.write_bytes(b"vspace v1\nmode strong\npoints 2\nvic 0: 0\xff\n")
+    code, out, err = run(capsys, "validate", str(bad))
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "UTF-8" in err
+
+
 def test_connected_notconnected_with_witness_file(capsys, tmp_path):
     witness = tmp_path / "w.cov"
     code, out, _ = run(
@@ -69,6 +78,16 @@ def test_connected_budget_error(capsys):
     code, _, err = run(capsys, "connected", fx("s1.vs"), "--max-covers", "1")
     assert code == 2
     assert "budget" in err
+
+
+@pytest.mark.parametrize("a, b", [("0", "0"), ("0", "2")])
+@pytest.mark.parametrize("engine", ["brute", "pruned"])
+def test_connected_negative_budget_is_an_error(capsys, a, b, engine):
+    code, out, err = run(
+        capsys, "connected", fx("s1.vs"), "--a", a, "--b", b, "--engine", engine, "--max-covers", "-1"
+    )
+    assert (code, out) == (2, "")
+    assert "must be non-negative" in err
 
 
 def test_connected_weak_space(capsys):

@@ -1,4 +1,5 @@
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -17,8 +18,9 @@ from vspace import (
     verify_witness,
 )
 from vspace.connectivity import resolve_choice
+from vspace.files import parse_space
 
-from _helpers import brute_force_connected, cover_count, random_space
+from _helpers import brute_force_connected, cover_count, first_witness, random_space
 
 C1 = {0: 0, 1: 0, 2: 0}
 C2 = {0: 0, 1: 1, 2: 0}
@@ -112,6 +114,26 @@ def test_budget_exceeded_is_a_hard_error():
         is_connected(s1(), 0, 2, max_covers=1)
 
 
+@pytest.mark.parametrize("engine", ["brute", "pruned"])
+@pytest.mark.parametrize("a, b", [(0, 2), (1, 1)])
+def test_negative_budget_rejected(engine, a, b):
+    with pytest.raises(ValidationError, match="max_covers"):
+        is_connected(s1(), a, b, engine=engine, max_covers=-1)
+
+
+def test_negative_budget_rejected_before_other_checks():
+    bad = make_space({0: [{0}], 1: [{0}]})
+    with pytest.raises(ValidationError, match="max_covers"):
+        is_connected(bad, 0, 9, engine="nope", max_covers=-1)
+
+
+@pytest.mark.parametrize("engine", ["brute", "pruned"])
+def test_zero_budget_is_legal(engine):
+    assert is_connected(s1(), 1, 1, engine=engine, max_covers=0).connected
+    with pytest.raises(BudgetExceededError):
+        is_connected(s1(), 0, 2, engine=engine, max_covers=0)
+
+
 def test_duplicate_vicinities_collapse_before_search():
     # Point 1 repeats one set three times: only one cover remains.
     space = make_space({0: [{0, 1}], 1: [{1}, {1}, {1}]}, mode=WEAK)
@@ -139,6 +161,47 @@ def test_engines_match_brute_force_enumeration(seed):
         assert verdict.connected == expected
         if not verdict.connected:
             assert verify_witness(space, verdict.witness, a, b)
+        if engine == "brute":
+            assert verdict.witness == first_witness(space, a, b)
+
+
+def dense_space(seed, n, prob):
+    """n points, three distinct vicinities each, members drawn with prob."""
+    rng = random.Random(seed)
+    vicinities = {}
+    for p in range(n):
+        vics = []
+        while len(vics) < 3:
+            members = frozenset({p} | {q for q in range(n) if q != p and rng.random() < prob})
+            if members not in vics:
+                vics.append(members)
+        vicinities[p] = vics
+    return make_space(vicinities, num_points=n), 0, n - 1
+
+
+def coded_small():
+    doc = parse_space((Path(__file__).parent / "fixtures" / "coded_small.vs").read_text())
+    return doc.space, doc.a, doc.b
+
+
+@pytest.mark.parametrize(
+    "instance, nodes, witness",
+    [
+        (lambda: dense_space(339476157, 16, 0.111), 287, {3: 1, 6: 1, 10: 2, 11: 2, 13: 2, 14: 1}),
+        (lambda: dense_space(1607279297, 16, 0.125), 325, None),
+        (coded_small, 4, {3: 2}),
+    ],
+    ids=["dense-notconnected", "dense-connected", "coded_small"],
+)
+def test_pruned_engine_witness_and_node_count_are_pinned(instance, nodes, witness):
+    # Non-zero witness indices are listed; every other point takes index 0.
+    space, a, b = instance()
+    verdict = is_connected(space, a, b, engine="pruned", max_covers=nodes)
+    expected = None if witness is None else {p: witness.get(p, 0) for p in space.points}
+    assert verdict.witness == expected
+    assert verdict.connected == (witness is None)
+    with pytest.raises(BudgetExceededError):
+        is_connected(space, a, b, engine="pruned", max_covers=nodes - 1)
 
 
 @settings(max_examples=60)

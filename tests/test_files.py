@@ -62,6 +62,12 @@ def test_comments_and_blank_lines_are_ignored():
     assert doc.space.systems[0].vicinities == (frozenset({0}),)
 
 
+def test_tabs_space_runs_and_crlf_parse_like_canonical_text():
+    canonical = (FIXTURES / "s1.vs").read_text()
+    loose = canonical.replace(" ", " \t ").replace("\n", "\r\n")
+    assert serialize_space(parse_space(loose)) == canonical
+
+
 def test_space_roundtrip_through_document():
     doc = parse_space((FIXTURES / "s1.vs").read_text())
     assert parse_space(serialize_space(doc)) == doc
