@@ -27,14 +27,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import isqrt
 
-from .connectivity import Cover, resolve_choice, validate_cover, verify_witness
+from .connectivity import Cover, chosen_vicinities, verify_witness
 from .errors import CodingConfigError, ValidationError
 from .oracles import EnumerationOracle
 from .spaces import STRONG, FiniteVSpace, VicinitySystem
-from .tolerance import tolerance_report, tolerant_cover
+from .tolerance import tolerance_report
 
 LABEL_A = "0"
 LABEL_B = "1"
+
+# Largest point and stage bounds accepted: building loops over
+# (M + 1) * (T + 1) vicinities of up to T + 1 codes each.
+MAX_POINT_BOUND = 10_000
+MAX_STAGE_BOUND = 100
 
 
 def pair(x: int, s: int) -> int:
@@ -117,6 +122,10 @@ def validate_config(oracle: EnumerationOracle, config: CodedSpaceConfig) -> list
         problems.append(f"endpoint b={b} exceeds point bound {m}")
     if t < 0:
         problems.append(f"stage bound {t} must be non-negative")
+    if m > MAX_POINT_BOUND:
+        problems.append(f"point bound {m} exceeds the limit {MAX_POINT_BOUND}")
+    if t > MAX_STAGE_BOUND:
+        problems.append(f"stage bound {t} exceeds the limit {MAX_STAGE_BOUND}")
     if problems:
         return problems
     entries = _bounded_entries(oracle, config)
@@ -187,9 +196,7 @@ def build_pi(oracle: EnumerationOracle, config: CodedSpaceConfig) -> dict[int, s
 
 def build_coded_space(oracle: EnumerationOracle, config: CodedSpaceConfig) -> CodedSpace:
     """Construct the coded space and its labeling for a valid config."""
-    problems = validate_config(oracle, config)
-    if problems:
-        raise CodingConfigError("; ".join(problems))
+    pi = build_pi(oracle, config)  # validates the config
     entries = _bounded_entries(oracle, config)
     a, b, m, t = config.a, config.b, config.point_bound, config.stage_bound
     v_a = {a} | {pair(x, s) for x, s in entries.items() if pair(x, s) <= m}
@@ -208,7 +215,7 @@ def build_coded_space(oracle: EnumerationOracle, config: CodedSpaceConfig) -> Co
                 vics.append(vic)
         systems[x] = VicinitySystem(x, tuple(vics), STRONG)
     space = FiniteVSpace(m + 1, systems, STRONG)
-    return CodedSpace(space, build_pi(oracle, config), config)
+    return CodedSpace(space, pi, config)
 
 
 def _stages_from_endpoint_vicinity(chosen_a: frozenset[int], a: int) -> dict[int, int]:
@@ -238,18 +245,16 @@ def decode_from_cover(space: FiniteVSpace, cover: Cover, a: int, b: int) -> dict
     decode as not enumerated.  The cover must witness that a and b are
     not connected.
     """
-    validate_cover(space, cover)
     if not verify_witness(space, cover, a, b):
         raise ValidationError("cover is not a witness: it admits a chain between the endpoints")
-    chosen_a = resolve_choice(space.system(a), cover[a])
-    stages = _stages_from_endpoint_vicinity(chosen_a, a)
+    chosen = chosen_vicinities(space, cover)
+    stages = _stages_from_endpoint_vicinity(chosen[a], a)
     decoded: dict[int, bool] = {}
     for x in space.points:
         if x in (a, b):
             continue
-        chosen = resolve_choice(space.system(x), cover[x])
         least_t: int | None = None
-        for member in chosen:
+        for member in chosen[x]:
             mx, mt = unpair(member)
             if mx == x and (least_t is None or mt < least_t):
                 least_t = mt
@@ -275,7 +280,7 @@ def verify_roundtrip(oracle: EnumerationOracle, config: CodedSpaceConfig) -> Rou
     decoded: dict[int, bool] = {}
     mismatches: list[tuple[int, bool, bool]] = []
     if tolerance_ok:
-        witness = tolerant_cover(space, pi)
+        witness = dict(sorted(report.tolerant_indices.items()))
         witness_ok = verify_witness(space, witness, cfg.a, cfg.b)
     if witness_ok:
         assert witness is not None

@@ -33,7 +33,7 @@ from operator import or_
 from typing import Callable, Mapping, Sequence
 
 from .errors import BudgetExceededError, ValidationError
-from .spaces import WEAK, FiniteVSpace, VicinitySystem, require_valid_space
+from .spaces import WEAK, FiniteVSpace, VicinitySystem, require_points, require_valid_space
 
 # Hard cap on enumerated covers (brute) or visited search nodes (pruned).
 DEFAULT_MAX_COVERS = 2**24
@@ -70,20 +70,16 @@ def resolve_choice(system: VicinitySystem, index: int) -> frozenset[int]:
     return system.vicinities[index]
 
 
-def validate_cover(space: FiniteVSpace, cover: Cover) -> None:
+def chosen_vicinities(space: FiniteVSpace, cover: Cover) -> dict[int, frozenset[int]]:
+    """Each point's chosen vicinity set; validates the space, then the cover."""
+    require_valid_space(space)
     missing = sorted(p for p in space.points if p not in cover)
     if missing:
         raise ValidationError(f"cover missing points {missing}")
     stray = sorted(p for p in cover if p not in space.points)
     if stray:
         raise ValidationError(f"cover mentions unknown points {stray}")
-    for p in space.points:
-        resolve_choice(space.system(p), cover[p])
-
-
-def chosen_vicinities(space: FiniteVSpace, cover: Cover) -> dict[int, frozenset[int]]:
-    validate_cover(space, cover)
-    return {p: resolve_choice(space.system(p), cover[p]) for p in space.points}
+    return {p: resolve_choice(space.systems[p], cover[p]) for p in space.points}
 
 
 def overlap_graph(space: FiniteVSpace, cover: Cover) -> dict[int, set[int]]:
@@ -99,20 +95,14 @@ def overlap_graph(space: FiniteVSpace, cover: Cover) -> dict[int, set[int]]:
     return adj
 
 
-def _require_endpoints(space: FiniteVSpace, a: int, b: int) -> None:
-    for e in (a, b):
-        if e not in space.points:
-            raise ValidationError(f"endpoint {e} not a point of the space")
-
-
 def chain_exists(space: FiniteVSpace, cover: Cover, a: int, b: int) -> list[int] | None:
     """Shortest chain from a to b under the cover, or None.
 
     a == b yields the length-zero chain [a].  Ties are broken by visiting
     neighbours in ascending order, so the result is deterministic.
     """
-    _require_endpoints(space, a, b)
     chosen = chosen_vicinities(space, cover)
+    require_points(space, (a, b), "endpoint")
     return _path([_mask(chosen[p]) for p in space.points], a, b)
 
 
@@ -130,7 +120,7 @@ def _compile(space: FiniteVSpace) -> list[list[tuple[int, int]]]:
     out = []
     for p in space.points:
         first: dict[int, int] = {}
-        for i, vic in enumerate(space.system(p).vicinities):
+        for i, vic in enumerate(space.systems[p].vicinities):
             first.setdefault(_mask(vic), i)
         out.append([(i, mask) for mask, i in first.items()])
     return out
@@ -246,7 +236,7 @@ def is_connected(
     if max_covers < 0:
         raise ValidationError(f"max_covers must be non-negative, got {max_covers}")
     require_valid_space(space)
-    _require_endpoints(space, a, b)
+    require_points(space, (a, b), "endpoint")
     if engine not in ("brute", "pruned"):
         raise ValidationError(f"unknown engine {engine!r}")
     if a == b:

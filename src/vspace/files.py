@@ -40,6 +40,9 @@ from .spaces import STRONG, WEAK, FiniteVSpace, VicinitySystem
 
 LABEL_TOKEN = re.compile(r"[A-Za-z0-9_]+\Z")
 
+# Largest ``points N`` accepted; checked before anything is allocated per point.
+MAX_POINTS = 100_000
+
 
 @dataclass(frozen=True)
 class SpaceDocument:
@@ -92,6 +95,8 @@ def parse_space(text: str) -> SpaceDocument:
         raise ParseError("expected 'points N' after the mode line")
     lineno, tokens = lines[0]
     num_points = _int(tokens[1], lineno, "point count")
+    if num_points > MAX_POINTS:
+        raise ParseError(f"line {lineno}: point count {num_points} exceeds the limit {MAX_POINTS}")
     lines = lines[1:]
 
     vicinities: dict[int, list[frozenset[int]]] = {p: [] for p in range(num_points)}

@@ -8,11 +8,14 @@ extends to an infinite sequence by padding with its first vicinity, so an
 index past the end of the stored sequence denotes index 0.
 
 Everything here is immutable and purely functional; values can be shared
-freely across threads.
+freely across threads.  A space validates itself at most once and keeps
+the result; ``systems`` is read-only, so it cannot go stale.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 from .errors import ValidationError
@@ -54,15 +57,21 @@ class FiniteVSpace:
     systems: Mapping[int, VicinitySystem]
     mode: str = STRONG
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "systems", MappingProxyType(dict(self.systems)))
+
+    def __reduce__(self):
+        # A mapping proxy cannot be pickled or deep-copied; rebuild from a dict.
+        return (type(self), (self.num_points, dict(self.systems), self.mode))
+
     @property
     def points(self) -> range:
         return range(self.num_points)
 
-    def system(self, point: int) -> VicinitySystem:
-        try:
-            return self.systems[point]
-        except KeyError:
-            raise ValidationError(f"point {point} has no vicinity system") from None
+    @cached_property
+    def violations(self) -> tuple[Violation, ...]:
+        """``validate_space`` of this space, computed on first use only."""
+        return tuple(validate_space(self))
 
 
 def make_space(
@@ -137,9 +146,20 @@ def validate_space(space: FiniteVSpace) -> list[Violation]:
 
 
 def require_valid_space(space: FiniteVSpace) -> None:
-    violations = validate_space(space)
+    if space.violations:
+        raise ValidationError("invalid space: " + "; ".join(str(v) for v in space.violations))
+
+
+def require_points(space: FiniteVSpace, points: Iterable[int], what: str) -> None:
+    for p in points:
+        if p not in space.points:
+            raise ValidationError(f"{what} {p} not a point of the space")
+
+
+def _require_valid_system(system: VicinitySystem) -> None:
+    violations = validate_system(system)
     if violations:
-        raise ValidationError("invalid space: " + "; ".join(str(v) for v in violations))
+        raise ValidationError("invalid system: " + "; ".join(str(v) for v in violations))
 
 
 def require_total_labeling(pi: Labeling, points: Iterable[int]) -> None:
@@ -159,9 +179,7 @@ def weak_from_strong(system: VicinitySystem) -> VicinitySystem:
     """
     if system.mode != STRONG:
         raise ValidationError("weak_from_strong expects a strong system")
-    violations = validate_system(system)
-    if violations:
-        raise ValidationError("invalid system: " + "; ".join(str(v) for v in violations))
+    _require_valid_system(system)
     return replace(system, mode=WEAK)
 
 
@@ -174,9 +192,7 @@ def strong_from_weak(system: VicinitySystem) -> VicinitySystem:
     """
     if system.mode != WEAK:
         raise ValidationError("strong_from_weak expects a weak system")
-    violations = validate_system(system)
-    if violations:
-        raise ValidationError("invalid system: " + "; ".join(str(v) for v in violations))
+    _require_valid_system(system)
     seen: list[frozenset[int]] = []
     for vic in system.vicinities:
         if vic not in seen:

@@ -23,6 +23,7 @@ from .spaces import (
     FiniteVSpace,
     Labeling,
     induced_space,
+    require_points,
     require_total_labeling,
     require_valid_space,
 )
@@ -88,7 +89,7 @@ def tolerance_report(space: FiniteVSpace, pi: Labeling) -> ToleranceReport:
     violations = set()
     indices: dict[int, int] = {}
     for p in space.points:
-        for i, vic in enumerate(space.system(p).vicinities):
+        for i, vic in enumerate(space.systems[p].vicinities):
             if constant_on(pi, vic):
                 indices[p] = i
                 break
@@ -126,9 +127,7 @@ def check_nontol(
     """
     require_valid_space(space)
     require_total_labeling(pi, space.points)
-    for e in (a, b):
-        if e not in space.points:
-            raise ValidationError(f"endpoint {e} not a point of the space")
+    require_points(space, (a, b), "endpoint")
     if pi[a] == pi[b]:
         return TheoremOutcome(NOT_APPLICABLE, reason="equal labels")
     verdict = is_connected(space, a, b, engine=engine, max_covers=max_covers)
@@ -148,9 +147,7 @@ def check_nonconn(points, pi: Labeling, a: int, b: int) -> TheoremOutcome:
     NotApplicable outcome.
     """
     space = induced_space(points, pi)
-    for e in (a, b):
-        if e not in space.points:
-            raise ValidationError(f"endpoint {e} not a point of the space")
+    require_points(space, (a, b), "endpoint")
     if pi[a] == pi[b]:
         raise ValidationError("endpoints carry equal labels")
     unique_cover = {p: 0 for p in space.points}
@@ -170,13 +167,11 @@ def refute_chain_in_induced(points, pi: Labeling, chain) -> RefutationTrace:
     seq = list(chain)
     if not seq:
         raise ValidationError("chain must be non-empty")
-    for x in seq:
-        if x not in space.points:
-            raise ValidationError(f"chain point {x} not a point of the space")
+    require_points(space, seq, "chain point")
     meeting = []
     for x, y in zip(seq, seq[1:]):
-        cls_x = space.system(x).vicinities[0]
-        cls_y = space.system(y).vicinities[0]
+        cls_x = space.systems[x].vicinities[0]
+        cls_y = space.systems[y].vicinities[0]
         common = cls_x & cls_y
         if not common:
             raise ValidationError(f"not a chain: classes of {x} and {y} are disjoint")

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+import vspace.coding as coding
 from vspace.cli import main
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -198,6 +199,18 @@ def test_code_build_rejects_insufficient_bounds(capsys, tmp_path):
     assert "exceeds point bound" in err
 
 
+def test_code_build_sizes_are_bounded(capsys, tmp_path, monkeypatch):
+    monkeypatch.setattr(coding, "MAX_POINT_BOUND", 24)
+    code, _, err = run(
+        capsys, "code-build", "--oracle", fx("k1.orc"), "--a", "0", "--b", "2",
+        "--points", "25", "--stages", "3",
+        "--out-space", str(tmp_path / "x.vs"), "--out-pi", str(tmp_path / "y.vs"),
+    )
+    assert code == 2
+    assert "point bound 25 exceeds the limit 24" in err
+    assert not (tmp_path / "x.vs").exists()
+
+
 def test_code_decode_witness(capsys):
     code, out, _ = run(
         capsys, "code-decode", "--space", fx("coded_small.vs"), "--cover", fx("coded_witness.cov")
@@ -219,6 +232,15 @@ def test_code_decode_rejects_non_witness(capsys):
     )
     assert code == 2
     assert "not a witness" in err
+
+
+def test_code_decode_rejects_invalid_space(capsys, tmp_path):
+    # Point 1's vicinity lacks its owner; the cover admits no chain 0-2.
+    space = tmp_path / "bad.vs"
+    space.write_text("vspace v1\nmode strong\npoints 3\nvic 0: 0\nvic 1: 2\nvic 2: 2\na 0\nb 2\n")
+    code, out, err = run(capsys, "code-decode", "--space", str(space), "--cover", fx("c1.cov"))
+    assert (code, out) == (2, "")
+    assert "invalid space" in err
 
 
 def test_code_roundtrip_golden(capsys):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import vspace.coding as coding
 from vspace import (
     CodedSpaceConfig,
     CodingConfigError,
@@ -105,6 +106,20 @@ def test_config_rejects_zero_enumerated_late_without_being_an_endpoint():
     oracle = EnumerationOracle({0: 1}, 3)
     problems = validate_config(oracle, CodedSpaceConfig(2, 4, 25, 3))
     assert any("least-code decode rule" in p for p in problems)
+
+
+def test_config_sizes_are_bounded(monkeypatch):
+    monkeypatch.setattr(coding, "MAX_POINT_BOUND", 24)
+    monkeypatch.setattr(coding, "MAX_STAGE_BOUND", 2)
+    assert validate_config(K1, K1_CONFIG) == [
+        "point bound 25 exceeds the limit 24",
+        "stage bound 3 exceeds the limit 2",
+    ]
+    with pytest.raises(CodingConfigError):
+        build_coded_space(K1, K1_CONFIG)
+    monkeypatch.setattr(coding, "MAX_POINT_BOUND", 25)
+    monkeypatch.setattr(coding, "MAX_STAGE_BOUND", 3)
+    assert validate_config(K1, K1_CONFIG) == []
 
 
 def test_build_rejects_invalid_config():

@@ -12,6 +12,7 @@ from vspace import (
     ValidationError,
     VicinitySystem,
     chain_exists,
+    decode_from_cover,
     is_connected,
     make_space,
     overlap_graph,
@@ -101,6 +102,27 @@ def test_invalid_space_rejected():
     bad = make_space({0: [{0}], 1: [{0}]})
     with pytest.raises(ValidationError):
         is_connected(bad, 0, 1)
+
+
+# A member outside the point set, and a vicinity without its owner.
+INVALID_SPACES = {
+    "stray-member": lambda: make_space({0: [{0, 5}], 1: [{1, 5}]}, num_points=2),
+    "owner-missing": lambda: make_space({0: [{0}], 1: [{0}]}),
+}
+
+COVER_FUNCTIONS = {
+    "chain_exists": lambda space: chain_exists(space, {0: 0, 1: 0}, 0, 1),
+    "verify_witness": lambda space: verify_witness(space, {0: 0, 1: 0}, 0, 1),
+    "overlap_graph": lambda space: overlap_graph(space, {0: 0, 1: 0}),
+    "decode_from_cover": lambda space: decode_from_cover(space, {0: 0, 1: 0}, 0, 1),
+}
+
+
+@pytest.mark.parametrize("space", sorted(INVALID_SPACES))
+@pytest.mark.parametrize("function", sorted(COVER_FUNCTIONS))
+def test_cover_functions_reject_invalid_spaces(function, space):
+    with pytest.raises(ValidationError, match="invalid space"):
+        COVER_FUNCTIONS[function](INVALID_SPACES[space]())
 
 
 def test_verify_witness_examples():

@@ -2,6 +2,8 @@ from pathlib import Path
 
 import pytest
 
+import vspace.coding as coding
+import vspace.files as files
 from vspace import ParseError, STRONG, WEAK
 from vspace.files import (
     SpaceDocument,
@@ -85,6 +87,18 @@ def test_out_of_range_members_parse_but_points_do_not():
     assert 9 in doc.space.systems[0].vicinities[0]
     with pytest.raises(ParseError):
         parse_space("vspace v1\nmode strong\npoints 2\nvic 5: 5\n")
+
+
+def test_point_count_is_bounded(monkeypatch):
+    monkeypatch.setattr(files, "MAX_POINTS", 4)
+    assert parse_space("vspace v1\nmode strong\npoints 4\n").space.num_points == 4
+    with pytest.raises(ParseError, match="point count 5 exceeds the limit 4"):
+        parse_space("vspace v1\nmode strong\npoints 5\n")
+
+
+def test_every_buildable_coded_space_parses():
+    # code-build writes point_bound + 1 points.
+    assert coding.MAX_POINT_BOUND + 1 <= files.MAX_POINTS
 
 
 def test_bad_header_rejected():

@@ -1,16 +1,27 @@
+import copy
+import dataclasses
+import pickle
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import vspace.spaces as spaces
 from vspace import (
+    HOLDS,
     STRONG,
     WEAK,
+    FiniteVSpace,
     ValidationError,
     VicinitySystem,
+    check_nontol,
     induced_space,
+    is_connected,
     make_space,
     strong_from_weak,
+    tolerance_report,
     validate_space,
+    verify_witness,
     weak_from_strong,
 )
 
@@ -58,6 +69,59 @@ def test_every_vicinity_contains_its_owner_in_valid_spaces():
     for p in space.points:
         for vic in space.systems[p].vicinities:
             assert p in vic
+
+
+def test_space_is_validated_once_per_instance(monkeypatch):
+    calls = []
+
+    def counting(space):
+        calls.append(space)
+        return validate_space(space)
+
+    monkeypatch.setattr(spaces, "validate_space", counting)
+    space = make_space({0: [{0, 1}], 1: [{0, 1, 2}], 2: [{2}]})
+    pi = {0: "A", 1: "A", 2: "B"}
+    assert check_nontol(space, pi, 0, 2).status == HOLDS
+    tolerance_report(space, pi)
+    assert not verify_witness(space, {0: 0, 1: 0, 2: 0}, 0, 2)
+    assert len(calls) == 1 and calls[0] is space
+
+
+def test_systems_are_read_only():
+    space = s1()
+    with pytest.raises(TypeError):
+        space.systems[0] = space.systems[1]
+
+
+def test_space_keeps_its_own_copy_of_the_systems():
+    source = {p: VicinitySystem(p, (frozenset({p}),)) for p in range(2)}
+    space = FiniteVSpace(2, source)
+    assert space.violations == ()
+    source[1] = VicinitySystem(1, ())
+    assert validate_space(space) == []
+
+
+@pytest.mark.parametrize(
+    "clone",
+    [copy.copy, copy.deepcopy, lambda space: pickle.loads(pickle.dumps(space))],
+    ids=["copy", "deepcopy", "pickle"],
+)
+def test_copies_and_pickles_are_equal_spaces(clone):
+    space = s1()
+    assert space.violations == ()
+    twin = clone(space)
+    assert twin == space
+    assert twin.violations == ()
+    with pytest.raises(TypeError):
+        twin.systems[0] = twin.systems[1]
+
+
+def test_replace_starts_a_fresh_memo():
+    weak = make_space({0: [{0}], 1: [{1}, {1}]}, mode=WEAK)
+    assert not is_connected(weak, 0, 1).connected
+    strong = dataclasses.replace(weak, mode=STRONG)
+    with pytest.raises(ValidationError):
+        is_connected(strong, 0, 1)
 
 
 def test_weak_from_strong_keeps_the_sequence():
