@@ -5,7 +5,8 @@ and reports on stdout as a single lowercase verdict keyword followed by
 detail lines (one fact per line).  Exit codes: 0 when the property holds
 or the command succeeds, 1 when a property is refuted, the verdict is
 notconnected, or violations were found, 2 on parse, validation, or
-budget errors (details on stderr).
+budget errors (details on stderr) and on any unexpected exception (a
+one-line ``internal error`` on stderr, no traceback).
 """
 from __future__ import annotations
 
@@ -278,11 +279,11 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except VSpaceError as exc:
+    except (VSpaceError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except Exception as exc:
+        print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 
 

@@ -36,8 +36,9 @@ from .tolerance import tolerance_report
 LABEL_A = "0"
 LABEL_B = "1"
 
-# Largest point and stage bounds accepted: building loops over
-# (M + 1) * (T + 1) vicinities of up to T + 1 codes each.
+# Largest point and stage bounds accepted.  A build costs O(M) for the
+# points and their labels plus one step per code within 0..M: each point
+# stops at its first code past M, which for most points is its first.
 MAX_POINT_BOUND = 10_000
 MAX_STAGE_BOUND = 100
 
@@ -199,8 +200,8 @@ def build_coded_space(oracle: EnumerationOracle, config: CodedSpaceConfig) -> Co
     pi = build_pi(oracle, config)  # validates the config
     entries = _bounded_entries(oracle, config)
     a, b, m, t = config.a, config.b, config.point_bound, config.stage_bound
-    v_a = {a} | {pair(x, s) for x, s in entries.items() if pair(x, s) <= m}
-    v_b = {b} | {pair(x, s + 1) for x, s in entries.items() if pair(x, s + 1) <= m}
+    v_a = {a} | {c for x, s in entries.items() if (c := pair(x, s)) <= m}
+    v_b = {b} | {c for x, s in entries.items() if (c := pair(x, s + 1)) <= m}
     systems: dict[int, VicinitySystem] = {
         a: VicinitySystem(a, (frozenset(v_a),), STRONG),
         b: VicinitySystem(b, (frozenset(v_b),), STRONG),
@@ -208,12 +209,25 @@ def build_coded_space(oracle: EnumerationOracle, config: CodedSpaceConfig) -> Co
     for x in range(m + 1):
         if x in (a, b):
             continue
-        vics: list[frozenset[int]] = []
-        for n in range(t + 1):
-            vic = frozenset({x} | {pair(x, u) for u in range(n, t + 1) if pair(x, u) <= m})
-            if vic not in vics:
-                vics.append(vic)
-        systems[x] = VicinitySystem(x, tuple(vics), STRONG)
+        # code(x, u) grows strictly with u, so the codes within 0..M are
+        # those of stages 0..len(codes)-1.
+        codes: list[int] = []
+        for u in range(t + 1):
+            code = pair(x, u)
+            if code > m:
+                break
+            codes.append(code)
+        # V_{x,n} = V_{x,n+1} + {code(x, n)}: grow the chain from n = T
+        # down, keeping each set once, then restore ascending n.
+        members = {x}
+        chain = [frozenset(members)] if len(codes) <= t else []
+        for code in reversed(codes):
+            members.add(code)
+            vic = frozenset(members)
+            if not chain or vic != chain[-1]:
+                chain.append(vic)
+        chain.reverse()
+        systems[x] = VicinitySystem(x, tuple(chain), STRONG)
     space = FiniteVSpace(m + 1, systems, STRONG)
     return CodedSpace(space, pi, config)
 
@@ -247,10 +261,14 @@ def decode_from_cover(space: FiniteVSpace, cover: Cover, a: int, b: int) -> dict
     """
     if not verify_witness(space, cover, a, b):
         raise ValidationError("cover is not a witness: it admits a chain between the endpoints")
-    chosen = chosen_vicinities(space, cover)
+    return _decode(chosen_vicinities(space, cover), a, b)
+
+
+def _decode(chosen: dict[int, frozenset[int]], a: int, b: int) -> dict[int, bool]:
+    """The decode rule of ``decode_from_cover`` on a verified witness's chosen vicinities."""
     stages = _stages_from_endpoint_vicinity(chosen[a], a)
     decoded: dict[int, bool] = {}
-    for x in space.points:
+    for x in chosen:
         if x in (a, b):
             continue
         least_t: int | None = None
@@ -284,7 +302,7 @@ def verify_roundtrip(oracle: EnumerationOracle, config: CodedSpaceConfig) -> Rou
         witness_ok = verify_witness(space, witness, cfg.a, cfg.b)
     if witness_ok:
         assert witness is not None
-        decoded = decode_from_cover(space, witness, cfg.a, cfg.b)
+        decoded = _decode(chosen_vicinities(space, witness), cfg.a, cfg.b)
         entries = _bounded_entries(oracle, cfg)
         for x in sorted(decoded):
             expected = x in entries

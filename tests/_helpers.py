@@ -92,3 +92,32 @@ def cover_count(space: FiniteVSpace) -> int:
     for p in space.points:
         total *= len(set(space.systems[p].vicinities))
     return total
+
+
+def _code(x: int, s: int) -> int:
+    return (x + s) * (x + s + 1) // 2 + x
+
+
+def reference_vicinities(x: int, point_bound: int, stage_bound: int) -> tuple[frozenset[int], ...]:
+    """V_{x,n} = {x} + {code(x, t) : n <= t <= T, code(x, t) <= M} for
+    n = 0..T, each set kept once, in order of first appearance."""
+    vics: list[frozenset[int]] = []
+    for n in range(stage_bound + 1):
+        codes = {_code(x, t) for t in range(n, stage_bound + 1) if _code(x, t) <= point_bound}
+        vic = frozenset({x} | codes)
+        if vic not in vics:
+            vics.append(vic)
+    return tuple(vics)
+
+
+def reference_coded_systems(entries, a: int, b: int, point_bound: int, stage_bound: int):
+    """Per point, the vicinities of the coded space from the definition:
+    the endpoint formulas for a and b, ``reference_vicinities`` otherwise."""
+    seen = {x: s for x, s in entries.items() if s <= stage_bound}
+    v_a = {a} | {_code(x, s) for x, s in seen.items() if _code(x, s) <= point_bound}
+    v_b = {b} | {_code(x, s + 1) for x, s in seen.items() if _code(x, s + 1) <= point_bound}
+    systems = {a: (frozenset(v_a),), b: (frozenset(v_b),)}
+    for x in range(point_bound + 1):
+        if x not in (a, b):
+            systems[x] = reference_vicinities(x, point_bound, stage_bound)
+    return systems

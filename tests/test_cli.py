@@ -268,6 +268,18 @@ def test_code_roundtrip_empty_oracle(capsys):
     assert out.endswith("decoded:\n")
 
 
+def test_unexpected_exception_is_a_one_line_error(capsys, monkeypatch):
+    def boom(oracle, config):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(coding, "verify_roundtrip", boom)
+    code, out, err = run(
+        capsys, "code-roundtrip", "--oracle", fx("k1.orc"), "--a", "0", "--b", "2",
+        "--points", "25", "--stages", "3",
+    )
+    assert (code, out, err) == (2, "", "error: internal error: RuntimeError: boom\n")
+
+
 def test_missing_file_is_an_error(capsys):
     code, _, err = run(capsys, "validate", fx("does_not_exist.vs"))
     assert code == 2

@@ -6,6 +6,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import vspace.coding as coding
+import vspace.connectivity as connectivity
+from _helpers import reference_coded_systems, reference_vicinities
 from vspace import (
     CodedSpaceConfig,
     CodingConfigError,
@@ -150,6 +152,63 @@ def test_truncated_vicinities_deduplicate_in_order():
         assert coded.space.systems[x].vicinities == (frozenset({x}),)
 
 
+def _differential_configs():
+    """Seeded valid configs: stage bound 0, endpoints away from 0 (so the
+    point 0 owns its own code (0, 0)), and oracle values beyond M."""
+    rng = random.Random(4)
+    out = []
+    while len(out) < 60:
+        t = rng.randint(0, 6)
+        a = rng.randint(0, 3)
+        b = a + rng.randint(1, 5)
+        entries = {}
+        if t >= 2:
+            entries = {x: rng.randint(0, t - 2) for x in rng.sample(range(8), rng.randint(0, 3))}
+        m = max([b] + [pair(x, t) for x in entries]) + rng.randint(0, 30)
+        if rng.random() < 0.3:
+            entries[m + rng.randint(1, 40)] = rng.randint(0, t)
+        oracle, config = EnumerationOracle(entries, t), CodedSpaceConfig(a, b, m, t)
+        if not validate_config(oracle, config):
+            out.append((oracle, config))
+    return out
+
+
+DIFFERENTIAL_CONFIGS = _differential_configs()
+
+
+def test_differential_configs_cover_the_edge_cases():
+    configs = [c for _, c in DIFFERENTIAL_CONFIGS]
+    assert any(c.stage_bound == 0 for c in configs)
+    assert any(0 not in (c.a, c.b) for c in configs)
+    assert any(any(x > c.point_bound for x in o.entries) for o, c in DIFFERENTIAL_CONFIGS)
+    assert any(o.entries and max(o.entries) <= c.point_bound for o, c in DIFFERENTIAL_CONFIGS)
+    # Some chain is cut by M between its first and last stage.
+    assert any(
+        pair(x, 0) <= c.point_bound < pair(x, c.stage_bound)
+        for c in configs
+        for x in range(c.point_bound + 1)
+        if x not in (c.a, c.b)
+    )
+
+
+@pytest.mark.parametrize("oracle,config", DIFFERENTIAL_CONFIGS)
+def test_build_matches_the_reference_definition(oracle, config):
+    coded = build_coded_space(oracle, config)
+    expected = reference_coded_systems(
+        oracle.entries, config.a, config.b, config.point_bound, config.stage_bound
+    )
+    assert {p: s.vicinities for p, s in coded.space.systems.items()} == expected
+    assert coded.pi == build_pi(oracle, config)
+
+
+def test_build_at_the_size_limits_matches_the_reference():
+    m, t = coding.MAX_POINT_BOUND, coding.MAX_STAGE_BOUND
+    coded = build_coded_space(EnumerationOracle({}, t), CodedSpaceConfig(0, 2, m, t))
+    assert coded.space.num_points == m + 1
+    for x in (1, 3, 4, 13, 140, 141, m):
+        assert coded.space.systems[x].vicinities == reference_vicinities(x, m, t)
+
+
 def test_coded_space_is_a_valid_strong_space():
     coded = build_coded_space(K1, K1_CONFIG)
     assert validate_space(coded.space) == []
@@ -258,6 +317,19 @@ def test_roundtrip_k1():
     assert report.passed
     assert report.decoded_in == (3,)
     assert report.mismatches == ()
+
+
+def test_roundtrip_searches_for_a_chain_once(monkeypatch):
+    calls = []
+    chain_exists = connectivity.chain_exists
+
+    def counted(*args):
+        calls.append(args)
+        return chain_exists(*args)
+
+    monkeypatch.setattr(connectivity, "chain_exists", counted)
+    assert verify_roundtrip(K1, K1_CONFIG).passed
+    assert len(calls) == 1
 
 
 def test_roundtrip_empty_oracle():

@@ -1,10 +1,12 @@
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import vspace.coding as coding
 import vspace.files as files
-from vspace import ParseError, STRONG, WEAK
+from vspace import EnumerationOracle, FiniteVSpace, ParseError, STRONG, WEAK, VicinitySystem
 from vspace.files import (
     SpaceDocument,
     parse_cover,
@@ -158,3 +160,65 @@ def test_serialize_labels_ascending():
     doc = parse_space((FIXTURES / "s1.vs").read_text())
     shuffled = SpaceDocument(doc.space, {2: "B", 0: "A", 1: "A"}, doc.a, doc.b)
     assert serialize_space(shuffled) == (FIXTURES / "s1.vs").read_text()
+
+
+# ------------------------------------------------------------------ fuzzing
+
+HEADERS = ("vspace v1", "cover v1", "oracle v1")
+TOKENS = (
+    "vspace", "cover", "oracle", "v1", "mode", "strong", "weak", "points", "vic",
+    "label", "a", "b", "choose", "stages", "enum", "0", "1", "2", "3", "0:", "1:",
+    "9:", ":", "-1", "12345678901234567890", "1_0", "٣", "A", "x y", "#", "\t",
+    " ", "\r", "\n", "\x00", "é",
+)
+PARSERS = (parse_space, parse_cover, parse_oracle)
+
+token_text = st.lists(st.sampled_from(TOKENS), max_size=40).map(" ".join)
+
+
+@settings(max_examples=300)
+@given(st.one_of(st.text(), token_text), st.sampled_from(("",) + HEADERS))
+def test_parsers_raise_only_parse_error(body, header):
+    text = f"{header}\n{body}" if header else body
+    for parse in PARSERS:
+        try:
+            parse(text)
+        except ParseError:
+            pass
+
+
+@st.composite
+def space_documents(draw):
+    n = draw(st.integers(0, 6))
+    mode = draw(st.sampled_from((STRONG, WEAK)))
+    members = st.frozensets(st.integers(0, 8), max_size=4)
+    systems = {p: VicinitySystem(p, tuple(draw(st.lists(members, max_size=3))), mode) for p in range(n)}
+    point = st.integers(0, n - 1) if n else st.none()
+    labels = draw(st.dictionaries(point, st.from_regex(r"[A-Za-z0-9_]{1,3}", fullmatch=True))) if n else {}
+    return SpaceDocument(
+        FiniteVSpace(n, systems, mode), labels, draw(st.none() | point), draw(st.none() | point)
+    )
+
+
+@given(space_documents())
+def test_parse_inverts_serialize_on_space_documents(doc):
+    text = serialize_space(doc)
+    assert parse_space(text) == doc
+    assert serialize_space(parse_space(text)) == text
+
+
+@given(st.dictionaries(st.integers(0, 50), st.integers(0, 50)))
+def test_parse_inverts_serialize_on_covers(cover):
+    text = serialize_cover(cover)
+    assert parse_cover(text) == cover
+    assert serialize_cover(parse_cover(text)) == text
+
+
+@given(st.integers(0, 9).flatmap(
+    lambda t: st.tuples(st.dictionaries(st.integers(0, 50), st.integers(0, t)), st.just(t))
+))
+def test_parse_inverts_serialize_on_oracles(entries_and_bound):
+    oracle = EnumerationOracle(*entries_and_bound)
+    text = serialize_oracle(oracle)
+    assert parse_oracle(text) == oracle
+    assert serialize_oracle(parse_oracle(text)) == text
