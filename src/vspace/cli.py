@@ -16,7 +16,7 @@ from pathlib import Path
 
 from . import coding, connectivity, files, tolerance
 from .errors import ParseError, VSpaceError
-from .spaces import FiniteVSpace, induced_space, validate_space
+from .spaces import induced_space, make_space, validate_space
 
 
 def _read(path: str) -> str:
@@ -140,13 +140,8 @@ def cmd_code_build(args) -> int:
     coded = coding.build_coded_space(oracle, config)
     doc = files.SpaceDocument(coded.space, coded.pi, config.a, config.b)
     _write(args.out_space, files.serialize_space(doc))
-    pi_doc = files.SpaceDocument(
-        FiniteVSpace(coded.space.num_points, {}, coded.space.mode),
-        coded.pi,
-        config.a,
-        config.b,
-    )
-    _write(args.out_pi, files.serialize_space(pi_doc))
+    carrier = make_space({}, coded.space.mode, coded.space.num_points)
+    _write(args.out_pi, files.serialize_space(files.SpaceDocument(carrier, coded.pi, config.a, config.b)))
     print("ok")
     return 0
 
@@ -155,7 +150,7 @@ def cmd_code_decode(args) -> int:
     doc = _load_space(args.space)
     if doc.a is None or doc.b is None:
         raise VSpaceError("the space file must carry 'a P' and 'b P' lines")
-    cover = files.parse_cover(_read(args.cover), doc.space.num_points)
+    cover = files.parse_cover(_read(args.cover))
     decoded = coding.decode_from_cover(doc.space, cover, doc.a, doc.b)
     print("decoded")
     for x in sorted(decoded):

@@ -3,10 +3,14 @@
 All three formats share the same lexical rules: UTF-8 text split into
 lines at LF, ``#`` starting a comment that runs to the end of the line,
 and tokens separated by any run of whitespace, so spaces and tabs both
-separate tokens and a CR before the LF is stripped.  Serialization is
-canonical (single spaces, LF line ends, points ascending, vicinity
-members ascending, no comments), and parsing a canonical file followed
-by serializing reproduces it byte for byte.
+separate tokens and a CR before the LF is stripped.  Every number is a
+non-negative integer written in ASCII decimal digits (no sign, ``_`` or
+other scripts' digits).  Serialization is canonical (single spaces, LF
+line ends, points ascending, vicinity members ascending, no comments)
+and refuses labels outside ``[A-Za-z0-9_]``, so parsing a canonical file
+followed by serializing reproduces it byte for byte.  Covers are read
+without the space they belong to; the library checks that a cover names
+every point of its space and no other.
 
 SpaceFile::
 
@@ -34,7 +38,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-from .errors import ParseError
+from .errors import ParseError, ValidationError
 from .oracles import EnumerationOracle
 from .spaces import STRONG, WEAK, FiniteVSpace, VicinitySystem
 
@@ -64,13 +68,13 @@ def _lines(text: str) -> list[tuple[int, list[str]]]:
 
 
 def _int(token: str, lineno: int, what: str) -> int:
+    """The one numeral rule of all three formats: ASCII decimal digits."""
+    if not (token.isascii() and token.isdigit()):
+        raise ParseError(f"line {lineno}: {what} must be a non-negative integer, got {token!r}")
     try:
-        value = int(token)
-    except ValueError:
-        raise ParseError(f"line {lineno}: {what} must be an integer, got {token!r}") from None
-    if value < 0:
-        raise ParseError(f"line {lineno}: {what} must be non-negative, got {value}")
-    return value
+        return int(token)
+    except ValueError:  # more digits than the interpreter converts
+        raise ParseError(f"line {lineno}: {what} has too many digits ({len(token)})") from None
 
 
 def _expect_header(lines, expected: str):
@@ -82,22 +86,40 @@ def _expect_header(lines, expected: str):
     return lines[1:]
 
 
+def _field(lines, form: str, after: str):
+    """The ``KEY VALUE`` line that must come next, as ``(lineno, value, rest)``."""
+    if not lines or lines[0][1][0] != form.split()[0] or len(lines[0][1]) != 2:
+        where = f"line {lines[0][0]}: " if lines else ""
+        raise ParseError(f"{where}expected '{form}' after {after}")
+    lineno, (_, value) = lines[0]
+    return lineno, value, lines[1:]
+
+
+def _records(lines, form: str, first: str, second: str):
+    """Yield ``(lineno, x, y)`` for each ``KEY X Y`` line, X strictly ascending."""
+    last = -1
+    for lineno, tokens in lines:
+        if tokens[0] != form.split()[0] or len(tokens) != 3:
+            raise ParseError(f"line {lineno}: expected '{form}'")
+        x = _int(tokens[1], lineno, first)
+        y = _int(tokens[2], lineno, second)
+        if x == last:
+            raise ParseError(f"line {lineno}: duplicate {first} {x}")
+        if x < last:
+            raise ParseError(f"line {lineno}: {first}s must be ascending")
+        last = x
+        yield lineno, x, y
+
+
 def parse_space(text: str) -> SpaceDocument:
     lines = _expect_header(_lines(text), "vspace v1")
-    if not lines or lines[0][1][0] != "mode" or len(lines[0][1]) != 2:
-        raise ParseError("expected 'mode strong|weak' after the header")
-    lineno, tokens = lines[0]
-    mode = tokens[1]
+    lineno, mode, lines = _field(lines, "mode strong|weak", "the header")
     if mode not in (STRONG, WEAK):
         raise ParseError(f"line {lineno}: mode must be strong or weak, got {mode!r}")
-    lines = lines[1:]
-    if not lines or lines[0][1][0] != "points" or len(lines[0][1]) != 2:
-        raise ParseError("expected 'points N' after the mode line")
-    lineno, tokens = lines[0]
-    num_points = _int(tokens[1], lineno, "point count")
+    lineno, value, lines = _field(lines, "points N", "the mode line")
+    num_points = _int(value, lineno, "point count")
     if num_points > MAX_POINTS:
         raise ParseError(f"line {lineno}: point count {num_points} exceeds the limit {MAX_POINTS}")
-    lines = lines[1:]
 
     vicinities: dict[int, list[frozenset[int]]] = {p: [] for p in range(num_points)}
     labels: dict[int, str] = {}
@@ -146,13 +168,12 @@ def serialize_space(doc: SpaceDocument) -> str:
     space = doc.space
     out = ["vspace v1", f"mode {space.mode}", f"points {space.num_points}"]
     for p in space.points:
-        system = space.systems.get(p)
-        if system is None:
-            continue
-        for vic in system.vicinities:
+        for vic in space.systems[p].vicinities:
             members = " ".join(str(m) for m in sorted(vic))
             out.append(f"vic {p}:" + (f" {members}" if members else ""))
     for p in sorted(doc.labels):
+        if not LABEL_TOKEN.match(doc.labels[p]):
+            raise ValidationError(f"label {doc.labels[p]!r} of point {p} not over [A-Za-z0-9_]")
         out.append(f"label {p} {doc.labels[p]}")
     if doc.a is not None:
         out.append(f"a {doc.a}")
@@ -161,29 +182,9 @@ def serialize_space(doc: SpaceDocument) -> str:
     return "\n".join(out) + "\n"
 
 
-def parse_cover(text: str, num_points: int | None = None) -> dict[int, int]:
+def parse_cover(text: str) -> dict[int, int]:
     lines = _expect_header(_lines(text), "cover v1")
-    cover: dict[int, int] = {}
-    last = -1
-    for lineno, tokens in lines:
-        if tokens[0] != "choose" or len(tokens) != 3:
-            raise ParseError(f"line {lineno}: expected 'choose P INDEX'")
-        p = _int(tokens[1], lineno, "point")
-        index = _int(tokens[2], lineno, "index")
-        if p in cover:
-            raise ParseError(f"line {lineno}: duplicate point {p}")
-        if p <= last:
-            raise ParseError(f"line {lineno}: points must be ascending")
-        last = p
-        cover[p] = index
-    if num_points is not None:
-        missing = sorted(set(range(num_points)) - set(cover))
-        if missing:
-            raise ParseError(f"cover missing points {missing}")
-        stray = sorted(p for p in cover if p >= num_points)
-        if stray:
-            raise ParseError(f"cover mentions points {stray} outside 0..{num_points - 1}")
-    return cover
+    return {p: index for _, p, index in _records(lines, "choose P INDEX", "point", "index")}
 
 
 def serialize_cover(cover: dict[int, int]) -> str:
@@ -195,24 +196,12 @@ def serialize_cover(cover: dict[int, int]) -> str:
 
 def parse_oracle(text: str) -> EnumerationOracle:
     lines = _expect_header(_lines(text), "oracle v1")
-    if not lines or lines[0][1][0] != "stages" or len(lines[0][1]) != 2:
-        raise ParseError("expected 'stages T' after the header")
-    lineno, tokens = lines[0]
-    stage_bound = _int(tokens[1], lineno, "stage bound")
+    lineno, value, lines = _field(lines, "stages T", "the header")
+    stage_bound = _int(value, lineno, "stage bound")
     entries: dict[int, int] = {}
-    last = -1
-    for lineno, tokens in lines[1:]:
-        if tokens[0] != "enum" or len(tokens) != 3:
-            raise ParseError(f"line {lineno}: expected 'enum X S'")
-        x = _int(tokens[1], lineno, "value")
-        s = _int(tokens[2], lineno, "stage")
-        if x in entries:
-            raise ParseError(f"line {lineno}: duplicate value {x}")
-        if x <= last:
-            raise ParseError(f"line {lineno}: values must be ascending")
+    for lineno, x, s in _records(lines, "enum X S", "value", "stage"):
         if s > stage_bound:
             raise ParseError(f"line {lineno}: stage {s} exceeds bound {stage_bound}")
-        last = x
         entries[x] = s
     return EnumerationOracle(entries, stage_bound)
 

@@ -243,6 +243,14 @@ def test_code_decode_rejects_invalid_space(capsys, tmp_path):
     assert "invalid space" in err
 
 
+def test_code_decode_rejects_incomplete_cover(capsys, tmp_path):
+    cover = tmp_path / "one.cov"
+    cover.write_text("cover v1\nchoose 0 0\n")
+    code, out, err = run(capsys, "code-decode", "--space", fx("coded_small.vs"), "--cover", str(cover))
+    assert (code, out) == (2, "")
+    assert "cover missing points" in err
+
+
 def test_code_roundtrip_golden(capsys):
     code, out, _ = run(
         capsys, "code-roundtrip", "--oracle", fx("k1.orc"), "--a", "0", "--b", "2",

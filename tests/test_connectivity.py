@@ -125,6 +125,26 @@ def test_cover_functions_reject_invalid_spaces(function, space):
         COVER_FUNCTIONS[function](INVALID_SPACES[space]())
 
 
+# C1 without point 1, and C1 naming a point 3 that s1 does not have.
+INCOMPLETE_COVERS = {
+    "missing": ({0: 0, 2: 0}, r"cover missing points \[1\]"),
+    "stray": ({**C1, 3: 0}, r"cover mentions unknown points \[3\]"),
+}
+WITNESS_FUNCTIONS = {
+    "chain_exists": chain_exists,
+    "verify_witness": verify_witness,
+    "decode_from_cover": decode_from_cover,
+}
+
+
+@pytest.mark.parametrize("cover", sorted(INCOMPLETE_COVERS))
+@pytest.mark.parametrize("function", sorted(WITNESS_FUNCTIONS))
+def test_cover_functions_reject_covers_without_exactly_the_space_points(function, cover):
+    bad, message = INCOMPLETE_COVERS[cover]
+    with pytest.raises(ValidationError, match=message):
+        WITNESS_FUNCTIONS[function](s1(), bad, 0, 2)
+
+
 def test_verify_witness_examples():
     assert verify_witness(s1(), C1, 0, 2)
     assert not verify_witness(s1(), C2, 0, 2)

@@ -1,12 +1,22 @@
+import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import vspace.coding as coding
 import vspace.files as files
-from vspace import EnumerationOracle, FiniteVSpace, ParseError, STRONG, WEAK, VicinitySystem
+from vspace import (
+    STRONG,
+    WEAK,
+    EnumerationOracle,
+    FiniteVSpace,
+    ParseError,
+    ValidationError,
+    VicinitySystem,
+    make_space,
+)
 from vspace.files import (
     SpaceDocument,
     parse_cover,
@@ -113,6 +123,16 @@ def test_bad_mode_rejected():
         parse_space("vspace v1\nmode fuzzy\npoints 0\n")
 
 
+@pytest.mark.parametrize("parse,text,line", [
+    (parse_space, "vspace v1\nmodes strong\npoints 1\n", 2),
+    (parse_space, "vspace v1\nmode strong\n\npoints 1 2\n", 4),
+    (parse_oracle, "oracle v1\nenum 1 0\n", 2),
+])
+def test_misplaced_header_field_names_its_line(parse, text, line):
+    with pytest.raises(ParseError, match=f"^line {line}: expected '"):
+        parse(text)
+
+
 def test_bad_label_token_rejected():
     with pytest.raises(ParseError):
         parse_space("vspace v1\nmode strong\npoints 1\nvic 0: 0\nlabel 0 a-b\n")
@@ -133,11 +153,33 @@ def test_cover_points_must_ascend():
         parse_cover("cover v1\nchoose 1 0\nchoose 0 0\n")
 
 
-def test_cover_missing_point_rejected_when_size_known():
-    text = (FIXTURES / "c1.cov").read_text()
-    assert parse_cover(text, 3) == {0: 0, 1: 0, 2: 0}
-    with pytest.raises(ParseError):
-        parse_cover(text, 4)
+# One numeral in each place the three formats read a number.
+NUMERAL_SLOTS = {
+    "point count": (parse_space, "vspace v1\nmode strong\npoints {}\n"),
+    "vic member": (parse_space, "vspace v1\nmode strong\npoints 2\nvic 0: 0 {}\n"),
+    "cover point": (parse_cover, "cover v1\nchoose {} 0\n"),
+    "cover index": (parse_cover, "cover v1\nchoose 0 {}\n"),
+    "oracle bound": (parse_oracle, "oracle v1\nstages {}\n"),
+    "oracle value": (parse_oracle, "oracle v1\nstages 20\nenum {} 1\n"),
+    "oracle stage": (parse_oracle, "oracle v1\nstages 20\nenum 1 {}\n"),
+}
+
+
+@pytest.mark.parametrize("numeral", ["1_1", "+3", "\u0661", "-1"])
+@pytest.mark.parametrize("slot", sorted(NUMERAL_SLOTS))
+def test_numbers_are_ascii_decimal_digits_only(slot, numeral):
+    parse, template = NUMERAL_SLOTS[slot]
+    parse(template.format("1"))
+    with pytest.raises(ParseError, match=r"^line \d+: "):
+        parse(template.format(numeral))
+
+
+def test_numeral_past_the_interpreters_digit_limit_is_a_parse_error():
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("this interpreter converts numerals of any length")
+    with pytest.raises(ParseError, match="line 2: index has too many digits"):
+        parse_cover("cover v1\nchoose 0 " + "1" * (limit + 1) + "\n")
 
 
 def test_oracle_values_must_ascend():
@@ -205,6 +247,20 @@ def test_parse_inverts_serialize_on_space_documents(doc):
     text = serialize_space(doc)
     assert parse_space(text) == doc
     assert serialize_space(parse_space(text)) == text
+
+
+@example("x#y")
+@example("a b")
+@example("\u00e9")
+@example("")
+@given(st.text())
+def test_serialized_labels_read_back_or_are_refused(label):
+    doc = SpaceDocument(make_space({0: [{0}]}), {0: label})
+    try:
+        text = serialize_space(doc)
+    except ValidationError:
+        return
+    assert parse_space(text).labels == {0: label}
 
 
 @given(st.dictionaries(st.integers(0, 50), st.integers(0, 50)))
