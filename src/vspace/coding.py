@@ -11,13 +11,15 @@ while every other point x gets the descending family
     V_{x,n} = {x} + {code(x, t) : n <= t <= T},
 
 everything truncated to the points 0..M and deduplicated.  The two-value
-labeling pi gives a and b different labels yet is tolerant everywhere,
-and a and b are never connected.  The payoff is the reverse direction:
-from any cover witnessing that (and the designated endpoints), the
-oracle's membership can be read back without consulting the oracle,
-because x was enumerated at stage s exactly when code(x, s) lies in the
-witnessed vicinity of a, and any witness must pick a late enough
-vicinity for enumerated points.
+labeling pi gives the codes in V_a label 0, those in V_b label 1, and
+any other y = code(x, s) the label of x < y, from the bases pi(a) = 0,
+pi(b) = 1 and pi(0) = 0.  It is tolerant everywhere, yet a and b are
+labelled apart and so are never connected.  The payoff is the reverse
+direction: from any cover witnessing that (and the designated
+endpoints), the oracle's membership can be read back without consulting
+the oracle, because x was enumerated at stage s exactly when code(x, s)
+lies in the witnessed vicinity of a, and any witness must pick a late
+enough vicinity for enumerated points.
 
 Codes use the pairing code(x, s) = (x+s)(x+s+1)/2 + x, a bijection with
 x <= code(x, s) and equality only at (0, 0).
@@ -107,11 +109,43 @@ def _bounded_entries(oracle: EnumerationOracle, config: CodedSpaceConfig) -> dic
     return {x: s for x, s in oracle.entries.items() if s <= config.stage_bound}
 
 
+def _role(entries: dict[int, int], y: int) -> tuple[int, int, str | None]:
+    """Read y as code(x, s) and give its role as an appearance code.
+
+    The role is LABEL_A when x is newly enumerated at s (y lies in V_a),
+    LABEL_B when s >= 1 and x is newly enumerated at s - 1 (y lies in
+    V_b), and None otherwise.
+    """
+    x, s = unpair(y)
+    if entries.get(x) == s:
+        return x, s, LABEL_A
+    if s >= 1 and entries.get(x) == s - 1:
+        return x, s, LABEL_B
+    return x, s, None
+
+
+def _bases(config: CodedSpaceConfig) -> dict[int, str]:
+    """The labels fixed before the rule: pi(0) = pi(a) = 0, pi(b) = 1 (b > 0)."""
+    return {0: LABEL_A, config.a: LABEL_A, config.b: LABEL_B}
+
+
+def _label(entries: dict[int, int], bases: dict[int, str], y: int) -> str:
+    """pi(y) without building the space: a base, else y's role, else the
+    label of its parent unpair(y)[0], which is smaller than y."""
+    while y not in bases:
+        y, _, role = _role(entries, y)
+        if role is not None:
+            return role
+    return bases[y]
+
+
 def validate_config(oracle: EnumerationOracle, config: CodedSpaceConfig) -> list[str]:
     """All reasons the configuration cannot carry the coding (empty = valid).
 
-    Beyond the endpoint conditions, every value x <= M enumerated at
-    stage s needs headroom: s + 2 <= T and code(x, T) <= M.  Otherwise
+    An endpoint must not be enumerated nor be an appearance code, and an
+    endpoint code(x, T) of a non-endpoint x lies in every vicinity of x,
+    so it must share x's label.  Every value x <= M enumerated at stage s
+    needs headroom: s + 2 <= T and code(x, T) <= M.  Otherwise
     truncation leaves x with a code-free vicinity that a witness cover
     may select, and the decode step would under-report x.
     """
@@ -130,17 +164,19 @@ def validate_config(oracle: EnumerationOracle, config: CodedSpaceConfig) -> list
     if problems:
         return problems
     entries = _bounded_entries(oracle, config)
+    bases = _bases(config)
     for e, name in ((a, "a"), (b, "b")):
         if e in entries:
             problems.append(f"endpoint {name}={e} is enumerated (stage {entries[e]})")
-        x, s = unpair(e)
-        if entries.get(x) == s:
+        x, s, role = _role(entries, e)
+        if role is not None:
             problems.append(
-                f"endpoint {name}={e} is the code of ({x},{s}) with {x} newly enumerated at {s}"
+                f"endpoint {name}={e} is the code of ({x},{s}) with {x} newly enumerated at {entries[x]}"
             )
-        if s >= 1 and entries.get(x) == s - 1:
+        elif s == t and x not in (a, b) and (label := _label(entries, bases, x)) != bases[e]:
             problems.append(
-                f"endpoint {name}={e} is the code of ({x},{s}) with {x} newly enumerated at {s - 1}"
+                f"endpoint {name}={e} is the code of ({x},{t}) and so lies in every vicinity "
+                f"of {x}, but pi({x})={label} differs from pi({name})={bases[e]}"
             )
     if 0 not in (a, b) and entries.get(0, 0) >= 1:
         problems.append(
@@ -168,60 +204,46 @@ def validate_config(oracle: EnumerationOracle, config: CodedSpaceConfig) -> list
 
 
 def build_pi(oracle: EnumerationOracle, config: CodedSpaceConfig) -> dict[int, str]:
-    """The two-value labeling of the coded space.
+    """The two-value labeling of the coded space (see ``build_coded_space``)."""
+    return build_coded_space(oracle, config).pi
 
-    Bases first: pi(a) = 0, pi(b) = 1, then pi(0) = pi(1) = 0 unless
-    already set.  Every remaining y is the code of some (x, s) with
-    x < y: label 0 when x newly enumerated at s, label 1 when s >= 1 and
-    x newly enumerated at s - 1, otherwise copy pi(x).
+
+def build_coded_space(oracle: EnumerationOracle, config: CodedSpaceConfig) -> CodedSpace:
+    """Construct the coded space and its labeling for a valid config.
+
+    One pass reads each y = code(x, s) in 0..M once, with its role.  A
+    role puts y into V_a or V_b and is y's label; otherwise y copies
+    pi(x), x < y, except at the bases pi(a) = 0, pi(b) = 1, pi(0) = 0.
+    Codes of stages s <= T join x's list in ascending s.
     """
     problems = validate_config(oracle, config)
     if problems:
         raise CodingConfigError("; ".join(problems))
     entries = _bounded_entries(oracle, config)
-    pi: dict[int, str] = {config.a: LABEL_A, config.b: LABEL_B}
-    pi.setdefault(0, LABEL_A)
-    pi.setdefault(1, LABEL_A)
-    for y in range(config.point_bound + 1):
-        if y in pi:
-            continue
-        x, s = unpair(y)
-        if entries.get(x) == s:
-            pi[y] = LABEL_A
-        elif s >= 1 and entries.get(x) == s - 1:
-            pi[y] = LABEL_B
-        else:
-            pi[y] = pi[x]
-    return pi
-
-
-def build_coded_space(oracle: EnumerationOracle, config: CodedSpaceConfig) -> CodedSpace:
-    """Construct the coded space and its labeling for a valid config."""
-    pi = build_pi(oracle, config)  # validates the config
-    entries = _bounded_entries(oracle, config)
     a, b, m, t = config.a, config.b, config.point_bound, config.stage_bound
-    v_a = {a} | {c for x, s in entries.items() if (c := pair(x, s)) <= m}
-    v_b = {b} | {c for x, s in entries.items() if (c := pair(x, s + 1)) <= m}
+    pi = _bases(config)
+    endpoint_vics: dict[str, list[int]] = {LABEL_A: [a], LABEL_B: [b]}
+    codes: list[list[int]] = [[] for _ in range(m + 1)]
+    for y in range(m + 1):
+        x, s, role = _role(entries, y)
+        if role is not None:
+            endpoint_vics[role].append(y)
+        pi.setdefault(y, pi[x] if role is None else role)
+        if s <= t:
+            codes[x].append(y)
     systems: dict[int, VicinitySystem] = {
-        a: VicinitySystem(a, (frozenset(v_a),), STRONG),
-        b: VicinitySystem(b, (frozenset(v_b),), STRONG),
+        a: VicinitySystem(a, (frozenset(endpoint_vics[LABEL_A]),), STRONG),
+        b: VicinitySystem(b, (frozenset(endpoint_vics[LABEL_B]),), STRONG),
     }
     for x in range(m + 1):
         if x in (a, b):
             continue
-        # code(x, u) grows strictly with u, so the codes within 0..M are
-        # those of stages 0..len(codes)-1.
-        codes: list[int] = []
-        for u in range(t + 1):
-            code = pair(x, u)
-            if code > m:
-                break
-            codes.append(code)
+        # codes[x] is code(x, 0..k-1), the codes of x within 0..M, and
         # V_{x,n} = V_{x,n+1} + {code(x, n)}: grow the chain from n = T
         # down, keeping each set once, then restore ascending n.
         members = {x}
-        chain = [frozenset(members)] if len(codes) <= t else []
-        for code in reversed(codes):
+        chain = [frozenset(members)] if len(codes[x]) <= t else []
+        for code in reversed(codes[x]):
             members.add(code)
             vic = frozenset(members)
             if not chain or vic != chain[-1]:

@@ -7,8 +7,9 @@ separate tokens and a CR before the LF is stripped.  Every number is a
 non-negative integer written in ASCII decimal digits (no sign, ``_`` or
 other scripts' digits).  Serialization is canonical (single spaces, LF
 line ends, points ascending, vicinity members ascending, no comments)
-and refuses labels outside ``[A-Za-z0-9_]``, so parsing a canonical file
-followed by serializing reproduces it byte for byte.  Covers are read
+and refuses labels outside ``[A-Za-z0-9_]`` and labels or endpoints on
+points outside the space, so parsing a canonical file followed by
+serializing reproduces it byte for byte.  Covers are read
 without the space they belong to; the library checks that a cover names
 every point of its space and no other.
 
@@ -166,6 +167,12 @@ def parse_space(text: str) -> SpaceDocument:
 
 def serialize_space(doc: SpaceDocument) -> str:
     space = doc.space
+    named = [p for p in (*doc.labels, doc.a, doc.b) if p is not None]
+    outside = [p for p in named if not (type(p) is int and p in space.points)]
+    if outside:
+        raise ValidationError(
+            f"labels or endpoints name {outside}, which are not points 0..{space.num_points - 1}"
+        )
     out = ["vspace v1", f"mode {space.mode}", f"points {space.num_points}"]
     for p in space.points:
         for vic in space.systems[p].vicinities:

@@ -207,10 +207,9 @@ def induced_space(points: Iterable[int], pi: Labeling) -> FiniteVSpace:
     if pts != list(range(n)):
         raise ValidationError("points must form a dense range 0..n-1")
     require_total_labeling(pi, pts)
-    classes: dict[str, frozenset[int]] = {}
+    members: dict[str, list[int]] = {}
     for p in pts:
-        classes.setdefault(pi[p], frozenset())
-    for token in classes:
-        classes[token] = frozenset(p for p in pts if pi[p] == token)
+        members.setdefault(pi[p], []).append(p)
+    classes = {token: frozenset(ps) for token, ps in members.items()}
     systems = {p: VicinitySystem(p, (classes[pi[p]],), STRONG) for p in pts}
     return FiniteVSpace(n, systems, STRONG)

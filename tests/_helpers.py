@@ -121,3 +121,25 @@ def reference_coded_systems(entries, a: int, b: int, point_bound: int, stage_bou
         if x not in (a, b):
             systems[x] = reference_vicinities(x, point_bound, stage_bound)
     return systems
+
+
+def reference_pi(entries, a: int, b: int, point_bound: int, stage_bound: int) -> dict[int, str]:
+    """The labeling from its definition: bases pi(a) = "0", pi(b) = "1" and
+    pi(0) = "0"; a code of V_a gets "0", a code of V_b gets "1", and any
+    other y = code(x, s) copies pi(x).  Codes are found by pairing
+    forward, not by unpairing."""
+    seen = {x: s for x, s in entries.items() if s <= stage_bound}
+    in_a = {_code(x, s) for x, s in seen.items()}
+    in_b = {_code(x, s + 1) for x, s in seen.items()}
+    owner = {}
+    for x in range(point_bound + 1):
+        s = 0
+        while _code(x, s) <= point_bound:
+            owner[_code(x, s)] = x
+            s += 1
+    pi = {a: "0", b: "1"}
+    pi.setdefault(0, "0")
+    for y in range(point_bound + 1):
+        if y not in pi:
+            pi[y] = "0" if y in in_a else "1" if y in in_b else pi[owner[y]]
+    return pi

@@ -276,6 +276,25 @@ def test_code_roundtrip_empty_oracle(capsys):
     assert out.endswith("decoded:\n")
 
 
+def test_code_roundtrip_zero_enumerated_at_stage_zero(capsys):
+    code, out, _ = run(
+        capsys, "code-roundtrip", "--oracle", fx("zero_at_zero.orc"), "--a", "2", "--b", "5",
+        "--points", "30", "--stages", "3",
+    )
+    assert code == 0
+    assert out.startswith("ok\n")
+    assert out.endswith("decoded: 0\n")
+
+
+def test_code_roundtrip_rejects_endpoint_in_every_vicinity_of_a_point(capsys):
+    code, out, err = run(
+        capsys, "code-roundtrip", "--oracle", fx("empty.orc"), "--a", "4", "--b", "6",
+        "--points", "19", "--stages", "3",
+    )
+    assert (code, out) == (2, "")
+    assert "lies in every vicinity of 0" in err
+
+
 def test_unexpected_exception_is_a_one_line_error(capsys, monkeypatch):
     def boom(oracle, config):
         raise RuntimeError("boom")

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import vspace.coding as coding
 import vspace.connectivity as connectivity
-from _helpers import reference_coded_systems, reference_vicinities
+from _helpers import reference_coded_systems, reference_pi, reference_vicinities
 from vspace import (
     CodedSpaceConfig,
     CodingConfigError,
@@ -33,7 +33,8 @@ K1 = EnumerationOracle({3: 1}, 3)
 K1_CONFIG = CodedSpaceConfig(a=0, b=2, point_bound=25, stage_bound=3)
 
 # Labels of the K1 coded space, derived by applying the three-way rule
-# upward from the bases pi(0)=pi(1)="0", pi(2)="1".
+# upward from the bases pi(0)="0" (a) and pi(2)="1" (b); 1 = code(0, 1)
+# copies pi(0), since 0 is never enumerated.
 K1_PI = {
     0: "0", 1: "0", 2: "1", 3: "0", 4: "0", 5: "1", 6: "0", 7: "0", 8: "1",
     9: "0", 10: "0", 11: "0", 12: "1", 13: "0", 14: "0", 15: "0", 16: "0",
@@ -124,6 +125,56 @@ def test_config_sizes_are_bounded(monkeypatch):
     assert validate_config(K1, K1_CONFIG) == []
 
 
+def test_config_rejects_endpoint_in_every_vicinity_of_a_point_labelled_apart(monkeypatch):
+    # 6 = code(0, 3) = code(0, T) lies in every vicinity of 0, and
+    # pi(0) = "0" while pi(b) = "1": 0 would have no constant vicinity.
+    oracle, config = EnumerationOracle({}, 3), CodedSpaceConfig(4, 6, 19, 3)
+    assert validate_config(oracle, config) == [
+        "endpoint b=6 is the code of (0,3) and so lies in every vicinity of 0, "
+        "but pi(0)=0 differs from pi(b)=1"
+    ]
+    monkeypatch.setattr(coding, "validate_config", lambda oracle, config: [])
+    report = verify_roundtrip(oracle, config)
+    assert not report.tolerance_ok and not report.passed
+
+
+def test_config_keeps_an_endpoint_code_of_a_point_labelled_alike():
+    # 6 = code(0, 3) again, now as a: pi(0) = pi(a) = "0", so V_{0,3} = {0, 6}
+    # is constant and the config carries the coding.
+    oracle = EnumerationOracle({}, 3)
+    config = CodedSpaceConfig(6, 7, 19, 3)
+    assert validate_config(oracle, config) == []
+    assert verify_roundtrip(oracle, config).passed
+
+
+def test_config_ignores_an_endpoint_code_below_the_stage_bound():
+    # 6 = code(0, 3) with T = 4: V_{0,4} = {0, 10} avoids the endpoint.
+    oracle = EnumerationOracle({}, 4)
+    config = CodedSpaceConfig(4, 6, 19, 4)
+    assert validate_config(oracle, config) == []
+    assert verify_roundtrip(oracle, config).passed
+
+
+def _sweep_configs(count: int, seed: int):
+    """Seeded configs near the edge of validity, most of them invalid."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        t = rng.randint(0, 6)
+        a = rng.randint(0, 10)
+        config = CodedSpaceConfig(a, a + rng.randint(1, 12), rng.randint(1, 80), t)
+        entries = {x: rng.randint(0, t) for x in rng.sample(range(12), rng.randint(0, 3))}
+        yield EnumerationOracle(entries, t), config
+
+
+def test_every_accepted_config_passes_its_roundtrip():
+    accepted = 0
+    for oracle, config in _sweep_configs(2_000, seed=6):
+        if not validate_config(oracle, config):
+            accepted += 1
+            assert verify_roundtrip(oracle, config).passed, (oracle, config)
+    assert accepted >= 300
+
+
 def test_build_rejects_invalid_config():
     with pytest.raises(CodingConfigError):
         build_coded_space(EnumerationOracle({0: 1}, 3), CodedSpaceConfig(0, 2, 25, 3))
@@ -198,7 +249,9 @@ def test_build_matches_the_reference_definition(oracle, config):
         oracle.entries, config.a, config.b, config.point_bound, config.stage_bound
     )
     assert {p: s.vicinities for p, s in coded.space.systems.items()} == expected
-    assert coded.pi == build_pi(oracle, config)
+    assert coded.pi == reference_pi(
+        oracle.entries, config.a, config.b, config.point_bound, config.stage_bound
+    )
 
 
 def test_build_at_the_size_limits_matches_the_reference():
@@ -229,6 +282,21 @@ def test_empty_oracle_coded_space():
 
 def test_pi_of_k1_matches_the_threeway_rule():
     assert build_pi(K1, K1_CONFIG) == K1_PI
+
+
+def test_pi_of_a_point_in_v_b_is_one_when_zero_is_enumerated_at_stage_zero():
+    # 1 = code(0, 1) lies in V_b, so it must be labelled like b.
+    oracle = EnumerationOracle({0: 0}, 3)
+    coded = build_coded_space(oracle, CodedSpaceConfig(2, 5, 30, 3))
+    assert 1 in coded.space.systems[5].vicinities[0]
+    assert coded.pi[1] == "1"
+    assert coded.pi == reference_pi(oracle.entries, 2, 5, 30, 3)
+
+
+def test_roundtrip_zero_enumerated_at_stage_zero():
+    report = verify_roundtrip(EnumerationOracle({0: 0}, 3), CodedSpaceConfig(2, 5, 30, 3))
+    assert report.passed
+    assert report.decoded_in == (0,)
 
 
 def test_pi_labels_the_appearance_codes():

@@ -249,18 +249,45 @@ def test_parse_inverts_serialize_on_space_documents(doc):
     assert serialize_space(parse_space(text)) == text
 
 
-@example("x#y")
-@example("a b")
-@example("\u00e9")
-@example("")
-@given(st.text())
-def test_serialized_labels_read_back_or_are_refused(label):
-    doc = SpaceDocument(make_space({0: [{0}]}), {0: label})
+def test_serialize_refuses_labels_and_endpoints_outside_the_space():
+    space = make_space({0: [{0}]})
+    for doc in (
+        SpaceDocument(space, {5: "A"}),
+        SpaceDocument(space, {}, 7),
+        SpaceDocument(space, {}, 0, 1),
+    ):
+        with pytest.raises(ValidationError, match="not points 0..0"):
+            serialize_space(doc)
+
+
+point_keys = st.one_of(st.integers(-2, 4), st.booleans(), st.floats(0, 2), st.text(max_size=1))
+
+
+@example({0: "x#y"}, None, None)
+@example({0: "a b"}, None, None)
+@example({0: "\u00e9"}, None, None)
+@example({0: ""}, None, None)
+@example({5: "A"}, 7, None)
+@example({-1: "A"}, None, None)
+@example({}, None, 2)
+@example({True: "A"}, None, None)
+@example({}, 1.0, None)
+@given(
+    st.dictionaries(
+        point_keys,
+        st.one_of(st.text(), st.from_regex(r"[A-Za-z0-9_]{1,3}", fullmatch=True)),
+        max_size=3,
+    ),
+    st.none() | point_keys,
+    st.none() | point_keys,
+)
+def test_serialized_labels_read_back_or_are_refused(labels, a, b):
+    doc = SpaceDocument(make_space({0: [{0}], 1: [{1}]}), labels, a, b)
     try:
         text = serialize_space(doc)
     except ValidationError:
         return
-    assert parse_space(text).labels == {0: label}
+    assert parse_space(text) == doc
 
 
 @given(st.dictionaries(st.integers(0, 50), st.integers(0, 50)))

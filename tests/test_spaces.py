@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import pickle
+import random
 
 import pytest
 from hypothesis import given
@@ -211,3 +212,16 @@ def test_induced_space_membership_matches_labels(n, data):
         vic = space.systems[x].vicinities[0]
         for y in range(n):
             assert (y in vic) == (pi[x] == pi[y])
+
+
+def test_induced_space_matches_the_definition_on_random_labelings():
+    rng = random.Random(8)
+    for _ in range(40):
+        n = rng.randint(1, 300)
+        tokens = [f"L{i}" for i in range(rng.randint(1, n))]
+        pi = {p: rng.choice(tokens) for p in range(n)}
+        space = induced_space(range(n), pi)
+        assert space.num_points == n and space.mode == STRONG
+        for p in range(n):
+            expected = frozenset(q for q in range(n) if pi[q] == pi[p])
+            assert space.systems[p] == VicinitySystem(p, (expected,), STRONG)
