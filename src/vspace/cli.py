@@ -198,7 +198,8 @@ def _add_budget_args(sub) -> None:
         "--max-covers",
         type=int,
         default=connectivity.DEFAULT_MAX_COVERS,
-        help="search budget (hard error when exceeded)",
+        help="search budget, covers for brute and search nodes for pruned "
+        "(hard error when exceeded)",
     )
 
 

@@ -10,27 +10,43 @@ sets as int bitmasks (bit m set iff m is a member), each with its first
 original index, so identical sets are collapsed (they induce identical
 overlap graphs) while witness indices refer to the original sequence.
 Vicinities meet iff their masks share a bit; one shortest-path routine
-over masks, ``_path``, serves chains, cover checks and the pruned search.
+over masks, ``_path``, serves chains and the brute cover checks.
 
 * ``brute`` enumerates covers in lexicographic order of (point id,
   vicinity index) and returns the first witness found, so its witness is
   deterministic and stable for golden tests.  Its budget counts covers,
   checked up front before any search.
-* ``pruned`` runs a branch-and-prune search.  An edge is *possible* when
-  the unions of the two points' remaining options meet (some completion
-  has it) and *sure* when every pair of remaining options meets (every
-  completion has it).  Its budget counts search nodes.  It must return
-  the same verdict as ``brute`` and a valid witness, not necessarily the
-  same one.
+* ``pruned`` searches for a cut instead of a cover.  a and b are not
+  connected iff the points split into sides A containing a and B
+  containing b so that every point has a vicinity inside its own side:
+  the cover of those vicinities has no edge across the split, and
+  conversely a's component in a witness's overlap graph is such a side
+  (if m lies in V_x, then V_m, which contains m, meets V_x).  This is
+  the tolerant cover of a two-valued labeling, read backwards.
+
+  The search holds A and B as int masks, explores them depth first from
+  an explicit stack, and closes each pair under two rules.  A decided
+  point's *fitting* options are those that avoid the other side; with
+  none it is a conflict, otherwise their intersection joins its side.
+  An undecided point whose every option meets B cannot sit in A, so it
+  goes to B, and symmetrically; if every option meets both sides it is
+  a conflict.  Only the points just decided and the points with an option
+  containing one of them are re-examined.  After the closure it tries
+  three completions: grow A' from A, each point of A' adding its least
+  option that avoids B, and accept A' against the rest if every point
+  outside A' has an option that avoids A'; then A against the rest; then
+  the rest against B.  Failing all three it branches on the lowest
+  undecided point, B first.  The witness gives each point its least
+  original index whose vicinity lies inside its side.  Its budget counts
+  search nodes.  It returns the same verdict as ``brute`` and a valid
+  witness, not necessarily the same one.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import reduce
 from math import prod
-from operator import or_
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .errors import BudgetExceededError, ValidationError
 from .spaces import WEAK, FiniteVSpace, VicinitySystem, require_points, require_valid_space
@@ -126,12 +142,11 @@ def _compile(space: FiniteVSpace) -> list[list[tuple[int, int]]]:
     return out
 
 
-def _path(masks: Sequence[int], a: int, b: int, linked: Callable | None = None) -> list[int] | None:
+def _path(masks: Sequence[int], a: int, b: int) -> list[int] | None:
     """Shortest path from a to b, or None.
 
-    x and y are joined when their masks meet and, if given, ``linked(x, y)``
-    holds.  Neighbours are visited in ascending order, so ties are broken
-    the same way every time.
+    x and y are joined when their masks meet.  Neighbours are visited in
+    ascending order, so ties are broken the same way every time.
     """
     if a == b:
         return [a]
@@ -141,7 +156,7 @@ def _path(masks: Sequence[int], a: int, b: int, linked: Callable | None = None) 
     for x in queue:  # grows while it is read: breadth-first order
         mx = masks[x]
         for y, my in enumerate(masks):
-            if mx & my and parent[y] < 0 and (linked is None or linked(x, y)):
+            if mx & my and parent[y] < 0:
                 parent[y] = x
                 if y == b:
                     path = [b]
@@ -167,26 +182,39 @@ def _brute(choices: list[list[tuple[int, int]]], a: int, b: int, max_covers: int
     return ConnectivityVerdict(True)
 
 
-class _PrunedSearch:
-    """Branch-and-prune over per-point vicinity choices.
+def _bits(mask: int):
+    """The members of a mask, in ascending order."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
-    At each node the remaining options of every point bound the overlap
-    graphs of all completions of the partial assignment.  If even the
-    possible edges cannot join the endpoints, any completion is a witness
-    (take option 0 wherever undecided).  If the sure edges join them, no
-    completion is a witness (prune).  Otherwise branch on an undecided
-    endpoint of the first edge that is not sure along a shortest possible
-    path.
+
+class _PrunedSearch:
+    """Depth-first search for sides A containing a and B containing b
+    that leave every point an option inside its own side.
+
+    Stack entries are (A, B, points decided since the last closure).  Each
+    ``search`` call expands one entry, so it is one search node; the
+    caller pops until a witness comes back or the stack is empty.
     """
 
     def __init__(self, choices, a, b, max_nodes):
         self.choices = choices
         self.masks = [[mask for _, mask in c] for c in choices]
-        self.a = a
-        self.b = b
         self.max_nodes = max_nodes
         self.nodes = 0
-        self.assignment: list[int | None] = [0 if len(c) == 1 else None for c in choices]
+        # watchers[m]: the points with an option that contains m, the only
+        # points whose rules can change when m is decided.
+        self.watchers = [0] * len(choices)
+        for x, options in enumerate(self.masks):
+            union = 0
+            for mask in options:
+                union |= mask
+            for m in _bits(union):
+                self.watchers[m] |= 1 << x
+        self.full = (1 << len(choices)) - 1
+        self.stack = [(1 << a, 1 << b, 1 << a | 1 << b)]
 
     def search(self) -> dict[int, int] | None:
         self.nodes += 1
@@ -194,29 +222,84 @@ class _PrunedSearch:
             raise BudgetExceededError(
                 f"pruned search exceeded the node budget of {self.max_nodes}"
             )
-        assignment = self.assignment
-        options = [m if i is None else [m[i]] for m, i in zip(self.masks, assignment)]
-        unions = [reduce(or_, o) for o in options]
-        path = _path(unions, self.a, self.b)
-        if path is None:
-            return {p: c[i or 0][0] for p, (c, i) in enumerate(zip(self.choices, assignment))}
-
-        def sure(x: int, y: int) -> bool:
-            return all(u & v for u in options[x] for v in options[y])
-
-        if _path(unions, self.a, self.b, sure) is not None:
+        sides = self._close(*self.stack.pop())
+        if sides is None:
             return None
-        # The possible path has an edge that is not sure, else the sure
-        # search above would have joined the endpoints.
-        u, v = next((u, v) for u, v in zip(path, path[1:]) if not sure(u, v))
-        branch_point = u if assignment[u] is None else v
-        for option in range(len(self.masks[branch_point])):
-            assignment[branch_point] = option
-            found = self.search()
-            if found is not None:
-                break
-        assignment[branch_point] = None
-        return found
+        side_a, side_b = sides
+        grown = frontier = side_a
+        while frontier:
+            added = 0
+            for x in _bits(frontier):
+                added |= next(m for m in self.masks[x] if not m & side_b)
+            frontier = added & ~grown
+            grown |= frontier
+        for split in (grown, side_a, side_b):
+            if self._splits(split):
+                return self._witness(split)
+        undecided = self.full & ~(side_a | side_b)
+        p = undecided & -undecided
+        self.stack.append((side_a | p, side_b, p))
+        self.stack.append((side_a, side_b | p, p))
+        return None
+
+    def _witness(self, split: int) -> dict[int, int]:
+        """Each point's least original index whose vicinity lies inside
+        its side of (split, the rest)."""
+        witness = {}
+        for x, options in enumerate(self.choices):
+            avoid = ~split if split >> x & 1 else split
+            for i, m in options:
+                if not m & avoid:
+                    witness[x] = i
+                    break
+        return witness
+
+    def _watched(self, mask: int) -> int:
+        out = 0
+        for m in _bits(mask):
+            out |= self.watchers[m]
+        return out
+
+    def _close(self, side_a: int, side_b: int, new: int) -> tuple[int, int] | None:
+        """Close the sides under the forcing rules; None on a conflict."""
+        masks = self.masks
+        while new:
+            todo, new = new | self._watched(new), 0
+            for x in _bits(todo):
+                bit = 1 << x
+                if bit & (side_a | side_b):
+                    other = side_b if bit & side_a else side_a
+                    common = -1
+                    for m in masks[x]:
+                        if not m & other:
+                            common &= m
+                    if common < 0:
+                        return None
+                    new |= common & ~(side_a | side_b)
+                    if bit & side_a:
+                        side_a |= common
+                    else:
+                        side_b |= common
+                    continue
+                fits_a = any(not m & side_b for m in masks[x])
+                fits_b = any(not m & side_a for m in masks[x])
+                if not (fits_a or fits_b):
+                    return None
+                if not fits_b:
+                    side_a |= bit
+                    new |= bit
+                elif not fits_a:
+                    side_b |= bit
+                    new |= bit
+        return side_a, side_b
+
+    def _splits(self, side: int) -> bool:
+        """Every point has an option inside its side of (side, the rest).
+        Outside ``side`` only points with an option that meets it can fail."""
+        outside = ~side
+        return all(any(not m & outside for m in self.masks[x]) for x in _bits(side)) and all(
+            any(not m & side for m in self.masks[x]) for x in _bits(self._watched(side) & outside)
+        )
 
 
 def is_connected(
@@ -244,7 +327,9 @@ def is_connected(
     choices = _compile(space)
     if engine == "brute":
         return _brute(choices, a, b, max_covers)
-    witness = _PrunedSearch(choices, a, b, max_covers).search()
-    if witness is None:
-        return ConnectivityVerdict(True)
-    return ConnectivityVerdict(False, witness)
+    search = _PrunedSearch(choices, a, b, max_covers)
+    while search.stack:
+        witness = search.search()
+        if witness is not None:
+            return ConnectivityVerdict(False, witness)
+    return ConnectivityVerdict(True)

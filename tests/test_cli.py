@@ -75,6 +75,13 @@ def test_connected_pruned_engine_agrees(capsys):
     assert out.startswith("notconnected\n")
 
 
+def test_connected_pruned_engine_decides_a_forty_point_space(capsys):
+    code, out, _ = run(
+        capsys, "connected", fx("dense40.vs"), "--engine", "pruned", "--max-covers", "1000"
+    )
+    assert (code, out) == (0, "connected\n")
+
+
 def test_connected_budget_error(capsys):
     code, _, err = run(capsys, "connected", fx("s1.vs"), "--max-covers", "1")
     assert code == 2

@@ -447,7 +447,7 @@ def test_any_witness_decodes_randomized_small_spaces():
 
 def test_pruned_engine_handles_a_large_coded_space():
     # Raw cover count here is about two million: far beyond exhaustive
-    # testing comfort, easy prey for branch-and-prune.
+    # testing comfort, easy prey for the pruned cut search.
     oracle = EnumerationOracle({3: 1, 5: 4}, 6)
     coded = build_coded_space(oracle, CodedSpaceConfig(0, 2, 71, 6))
     verdict = is_connected(coded.space, 0, 2, engine="pruned", max_covers=10_000)

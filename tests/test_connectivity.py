@@ -229,9 +229,9 @@ def coded_small():
 @pytest.mark.parametrize(
     "instance, nodes, witness",
     [
-        (lambda: dense_space(339476157, 16, 0.111), 287, {3: 1, 6: 1, 10: 2, 11: 2, 13: 2, 14: 1}),
-        (lambda: dense_space(1607279297, 16, 0.125), 325, None),
-        (coded_small, 4, {3: 2}),
+        (lambda: dense_space(339476157, 16, 0.111), 1, {3: 1, 5: 1, 7: 1}),
+        (lambda: dense_space(1607279297, 16, 0.125), 5, None),
+        (coded_small, 1, {3: 2}),
     ],
     ids=["dense-notconnected", "dense-connected", "coded_small"],
 )
@@ -244,6 +244,43 @@ def test_pruned_engine_witness_and_node_count_are_pinned(instance, nodes, witnes
     assert verdict.connected == (witness is None)
     with pytest.raises(BudgetExceededError):
         is_connected(space, a, b, engine="pruned", max_covers=nodes - 1)
+
+
+@pytest.mark.parametrize(
+    "seed, connected", [(124576495, True), (1539898300, False)], ids=["connected", "notconnected"]
+)
+def test_pruned_engine_decides_forty_point_spaces_within_a_thousand_nodes(seed, connected):
+    space, a, b = dense_space(seed, 40, 0.07)
+    verdict = is_connected(space, a, b, engine="pruned", max_covers=1000)
+    assert verdict.connected == connected
+    assert connected or verify_witness(space, verdict.witness, a, b)
+
+
+def test_pruned_engine_decides_a_long_chain_without_recursion():
+    # Point p may reach p + 1, so a search that recursed once per decided
+    # point would pass Python's recursion limit long before the end.
+    n = 1500
+    space = make_space({p: [{p, p + 1}, {p}] if p < n - 1 else [{p}] for p in range(n)})
+    for a, b in [(0, n - 1), (n - 1, 0), (n // 2, 0)]:
+        verdict = is_connected(space, a, b, engine="pruned", max_covers=n)
+        assert not verdict.connected
+        assert verify_witness(space, verdict.witness, a, b)
+
+
+@pytest.mark.parametrize("block", range(10))
+def test_pruned_engine_matches_brute_force_on_seeded_spaces(block):
+    verdicts = set()
+    for seed in range(100 * block, 100 * block + 100):
+        rng = random.Random(70_000 + seed)
+        space = random_space(rng, max_points=9, max_vics=3)
+        a = rng.randrange(space.num_points)
+        b = rng.randrange(space.num_points)
+        verdict = is_connected(space, a, b, engine="pruned")
+        assert verdict.connected == brute_force_connected(space, a, b), seed
+        if not verdict.connected:
+            assert verify_witness(space, verdict.witness, a, b), seed
+        verdicts.add(verdict.connected)
+    assert verdicts == {True, False}
 
 
 @settings(max_examples=60)
