@@ -159,11 +159,7 @@ def cmd_code_decode(args) -> int:
     if args.oracle is None:
         return 0
     oracle = files.parse_oracle(_read(args.oracle))
-    mismatches = [
-        (x, flag, x in oracle.entries)
-        for x, flag in sorted(decoded.items())
-        if flag != (x in oracle.entries)
-    ]
+    mismatches = coding.oracle_mismatches(decoded, oracle.entries)
     if not mismatches:
         print("agreement ok")
         return 0

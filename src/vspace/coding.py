@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import isqrt
+from typing import Iterable, Mapping
 
 from .connectivity import Cover, chosen_vicinities, verify_witness
 from .errors import CodingConfigError, ValidationError
@@ -145,7 +146,8 @@ def validate_config(oracle: EnumerationOracle, config: CodedSpaceConfig) -> list
     An endpoint must not be enumerated nor be an appearance code, and an
     endpoint code(x, T) of a non-endpoint x lies in every vicinity of x,
     so it must share x's label.  Every value x <= M enumerated at stage s
-    needs headroom: s + 2 <= T and code(x, T) <= M.  Otherwise
+    needs headroom: s + 2 <= T and code(x, T) <= M, which keeps every
+    code of x up to stage T within 0..M (code(x, .) increases).  Otherwise
     truncation leaves x with a code-free vicinity that a witness cover
     may select, and the decode step would under-report x.
     """
@@ -187,10 +189,6 @@ def validate_config(oracle: EnumerationOracle, config: CodedSpaceConfig) -> list
         if x > m:
             continue
         s = entries[x]
-        if pair(x, s) > m:
-            problems.append(f"required code ({x},{s}) = {pair(x, s)} exceeds point bound {m}")
-        if pair(x, s + 1) > m:
-            problems.append(f"required code ({x},{s + 1}) = {pair(x, s + 1)} exceeds point bound {m}")
         if s + 2 > t:
             problems.append(
                 f"value {x} enumerated at stage {s} leaves no constant vicinity below stage bound {t}"
@@ -254,19 +252,12 @@ def build_coded_space(oracle: EnumerationOracle, config: CodedSpaceConfig) -> Co
     return CodedSpace(space, pi, config)
 
 
-def _stages_from_endpoint_vicinity(chosen_a: frozenset[int], a: int) -> dict[int, int]:
-    """Read first-appearance stages back out of a's chosen vicinity.
-
-    Every member other than a itself is the code of (x, s) for some x
-    enumerated at s; the point a is skipped because it sits in V_a as a
-    base point, not as a code.
-    """
+def _least_stages(codes: Iterable[int]) -> dict[int, int]:
+    """Each owner x's least stage s with code(x, s) among the codes."""
     stages: dict[int, int] = {}
-    for member in chosen_a:
-        if member == a:
-            continue
-        x, s = unpair(member)
-        if x not in stages or s < stages[x]:
+    for code in codes:
+        x, s = unpair(code)
+        if s < stages.get(x, s + 1):
             stages[x] = s
     return stages
 
@@ -288,18 +279,20 @@ def decode_from_cover(space: FiniteVSpace, cover: Cover, a: int, b: int) -> dict
 
 def _decode(chosen: dict[int, frozenset[int]], a: int, b: int) -> dict[int, bool]:
     """The decode rule of ``decode_from_cover`` on a verified witness's chosen vicinities."""
-    stages = _stages_from_endpoint_vicinity(chosen[a], a)
+    # a sits in V_a as a base point, not as a code.
+    stages = _least_stages(chosen[a] - {a})
     decoded: dict[int, bool] = {}
     for x in chosen:
         if x in (a, b):
             continue
-        least_t: int | None = None
-        for member in chosen[x]:
-            mx, mt = unpair(member)
-            if mx == x and (least_t is None or mt < least_t):
-                least_t = mt
-        decoded[x] = least_t is not None and x in stages and stages[x] <= least_t
+        own = _least_stages(chosen[x]).get(x)
+        decoded[x] = own is not None and x in stages and stages[x] <= own
     return decoded
+
+
+def oracle_mismatches(decoded: dict[int, bool], entries: Mapping[int, int]) -> list[tuple[int, bool, bool]]:
+    """(x, decoded, expected) for each x whose decoded membership differs from the oracle's, ascending."""
+    return [(x, flag, x in entries) for x, flag in sorted(decoded.items()) if flag != (x in entries)]
 
 
 def verify_roundtrip(oracle: EnumerationOracle, config: CodedSpaceConfig) -> RoundtripReport:
@@ -325,11 +318,7 @@ def verify_roundtrip(oracle: EnumerationOracle, config: CodedSpaceConfig) -> Rou
     if witness_ok:
         assert witness is not None
         decoded = _decode(chosen_vicinities(space, witness), cfg.a, cfg.b)
-        entries = _bounded_entries(oracle, cfg)
-        for x in sorted(decoded):
-            expected = x in entries
-            if decoded[x] != expected:
-                mismatches.append((x, decoded[x], expected))
+        mismatches = oracle_mismatches(decoded, _bounded_entries(oracle, cfg))
     agreement_ok = witness_ok and not mismatches
     return RoundtripReport(
         labels_differ=labels_differ,

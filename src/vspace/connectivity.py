@@ -74,8 +74,8 @@ def resolve_choice(system: VicinitySystem, index: int) -> frozenset[int]:
     """The vicinity set a cover index denotes, honouring weak padding."""
     if not system.vicinities:
         raise ValidationError(f"point {system.owner} has an empty system")
-    if index < 0:
-        raise ValidationError(f"negative vicinity index {index} for point {system.owner}")
+    if type(index) is not int or index < 0:
+        raise ValidationError(f"vicinity index {index!r} for point {system.owner} is not a non-negative int")
     if index >= len(system.vicinities):
         if system.mode == WEAK:
             return system.vicinities[0]
@@ -101,14 +101,8 @@ def chosen_vicinities(space: FiniteVSpace, cover: Cover) -> dict[int, frozenset[
 def overlap_graph(space: FiniteVSpace, cover: Cover) -> dict[int, set[int]]:
     """Undirected graph with an edge wherever two chosen vicinities meet."""
     chosen = chosen_vicinities(space, cover)
-    adj: dict[int, set[int]] = {p: set() for p in space.points}
-    pts = list(space.points)
-    for i, x in enumerate(pts):
-        for y in pts[i + 1 :]:
-            if not chosen[x].isdisjoint(chosen[y]):
-                adj[x].add(y)
-                adj[y].add(x)
-    return adj
+    masks = [_mask(chosen[p]) for p in space.points]
+    return {x: {y for y, my in enumerate(masks) if mx & my and y != x} for x, mx in enumerate(masks)}
 
 
 def chain_exists(space: FiniteVSpace, cover: Cover, a: int, b: int) -> list[int] | None:
@@ -118,7 +112,7 @@ def chain_exists(space: FiniteVSpace, cover: Cover, a: int, b: int) -> list[int]
     neighbours in ascending order, so the result is deterministic.
     """
     chosen = chosen_vicinities(space, cover)
-    require_points(space, (a, b), "endpoint")
+    require_points(space, (a, b), "endpoints")
     return _path([_mask(chosen[p]) for p in space.points], a, b)
 
 
@@ -319,7 +313,7 @@ def is_connected(
     if max_covers < 0:
         raise ValidationError(f"max_covers must be non-negative, got {max_covers}")
     require_valid_space(space)
-    require_points(space, (a, b), "endpoint")
+    require_points(space, (a, b), "endpoints")
     if engine not in ("brute", "pruned"):
         raise ValidationError(f"unknown engine {engine!r}")
     if a == b:

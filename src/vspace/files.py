@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 
 from .errors import ParseError, ValidationError
 from .oracles import EnumerationOracle
-from .spaces import STRONG, WEAK, FiniteVSpace, VicinitySystem
+from .spaces import STRONG, WEAK, FiniteVSpace, VicinitySystem, require_points
 
 LABEL_TOKEN = re.compile(r"[A-Za-z0-9_]+\Z")
 
@@ -168,11 +168,7 @@ def parse_space(text: str) -> SpaceDocument:
 def serialize_space(doc: SpaceDocument) -> str:
     space = doc.space
     named = [p for p in (*doc.labels, doc.a, doc.b) if p is not None]
-    outside = [p for p in named if not (type(p) is int and p in space.points)]
-    if outside:
-        raise ValidationError(
-            f"labels or endpoints name {outside}, which are not points 0..{space.num_points - 1}"
-        )
+    require_points(space, named, "labelled points or endpoints")
     out = ["vspace v1", f"mode {space.mode}", f"points {space.num_points}"]
     for p in space.points:
         for vic in space.systems[p].vicinities:

@@ -114,8 +114,7 @@ def validate_system(
         if p not in vic:
             out.append(Violation("owner-not-in-vicinity", p, f"vicinity {i} does not contain its owner"))
         if num_points is not None:
-            stray = sorted(m for m in vic if not 0 <= m < num_points)
-            if stray:
+            if stray := _not_points(vic, num_points):
                 out.append(Violation("member-out-of-range", p, f"vicinity {i} members {stray} outside 0..{num_points - 1}"))
     if system.mode == STRONG:
         seen: dict[frozenset[int], int] = {}
@@ -150,10 +149,16 @@ def require_valid_space(space: FiniteVSpace) -> None:
         raise ValidationError("invalid space: " + "; ".join(str(v) for v in space.violations))
 
 
+def _not_points(items: Iterable, num_points: int) -> list:
+    """The one point rule: the items that are not ints (a bool is not) in
+    0..num_points-1, ints ascending first."""
+    bad = [p for p in items if not (type(p) is int and 0 <= p < num_points)]
+    return sorted(bad, key=lambda p: (0, p) if type(p) is int else (1, repr(p))) if bad else bad
+
+
 def require_points(space: FiniteVSpace, points: Iterable[int], what: str) -> None:
-    for p in points:
-        if p not in space.points:
-            raise ValidationError(f"{what} {p} not a point of the space")
+    if outside := _not_points(points, space.num_points):
+        raise ValidationError(f"{what} {outside} are not points 0..{space.num_points - 1}")
 
 
 def _require_valid_system(system: VicinitySystem) -> None:
@@ -202,14 +207,14 @@ def strong_from_weak(system: VicinitySystem) -> VicinitySystem:
 
 def induced_space(points: Iterable[int], pi: Labeling) -> FiniteVSpace:
     """The strong space where each point's single vicinity is its label class."""
-    pts = sorted(set(points))
+    pts = set(points)
     n = len(pts)
-    if pts != list(range(n)):
+    if _not_points(pts, n):
         raise ValidationError("points must form a dense range 0..n-1")
-    require_total_labeling(pi, pts)
+    require_total_labeling(pi, range(n))
     members: dict[str, list[int]] = {}
-    for p in pts:
+    for p in range(n):
         members.setdefault(pi[p], []).append(p)
     classes = {token: frozenset(ps) for token, ps in members.items()}
-    systems = {p: VicinitySystem(p, (classes[pi[p]],), STRONG) for p in pts}
+    systems = {p: VicinitySystem(p, (classes[pi[p]],), STRONG) for p in range(n)}
     return FiniteVSpace(n, systems, STRONG)

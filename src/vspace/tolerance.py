@@ -127,7 +127,7 @@ def check_nontol(
     """
     require_valid_space(space)
     require_total_labeling(pi, space.points)
-    require_points(space, (a, b), "endpoint")
+    require_points(space, (a, b), "endpoints")
     if pi[a] == pi[b]:
         return TheoremOutcome(NOT_APPLICABLE, reason="equal labels")
     verdict = is_connected(space, a, b, engine=engine, max_covers=max_covers)
@@ -147,7 +147,7 @@ def check_nonconn(points, pi: Labeling, a: int, b: int) -> TheoremOutcome:
     NotApplicable outcome.
     """
     space = induced_space(points, pi)
-    require_points(space, (a, b), "endpoint")
+    require_points(space, (a, b), "endpoints")
     if pi[a] == pi[b]:
         raise ValidationError("endpoints carry equal labels")
     unique_cover = {p: 0 for p in space.points}
@@ -167,7 +167,7 @@ def refute_chain_in_induced(points, pi: Labeling, chain) -> RefutationTrace:
     seq = list(chain)
     if not seq:
         raise ValidationError("chain must be non-empty")
-    require_points(space, seq, "chain point")
+    require_points(space, seq, "chain points")
     meeting = []
     for x, y in zip(seq, seq[1:]):
         cls_x = space.systems[x].vicinities[0]

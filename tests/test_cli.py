@@ -339,3 +339,33 @@ def test_module_invocation():
     )
     assert proc.returncode == 1
     assert proc.stdout.startswith("notconnected\n")
+
+
+NO_ENDPOINTS = "vspace v1\nmode strong\npoints 1\nvic 0: 0\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["connected", "{space}"], "error: endpoints required: pass --a/--b"),
+        (
+            ["code-decode", "--space", "{space}", "--cover", fx("c1.cov")],
+            "error: the space file must carry 'a P' and 'b P' lines",
+        ),
+    ],
+    ids=["connected", "code-decode"],
+)
+def test_commands_without_endpoints_exit_2(capsys, tmp_path, argv, message):
+    space = tmp_path / "none.vs"
+    space.write_text(NO_ENDPOINTS)
+    code, out, err = run(capsys, *(arg.format(space=space) for arg in argv))
+    assert (code, out) == (2, "")
+    assert err.startswith(message) and err.count("\n") == 1
+
+
+def test_code_decode_with_oracle_mismatch(capsys):
+    code, out, _ = run(
+        capsys, "code-decode", "--space", fx("coded_small.vs"),
+        "--cover", fx("coded_witness.cov"), "--oracle", fx("empty.orc"),
+    )
+    assert (code, out) == (1, "decoded\nin 3\nagreement mismatch\nmismatch 3 decoded=in oracle=out\n")

@@ -87,8 +87,10 @@ def test_config_rejects_endpoint_claimed_by_second_code_clause():
 
 
 def test_config_rejects_required_code_beyond_point_bound():
+    # code(3, 1) = 13 > 12 as well, but pair(3, .) increases, so the
+    # headroom rule only needs to check code(3, T).
     problems = validate_config(K1, CodedSpaceConfig(0, 2, 12, 3))
-    assert any("required code (3,1) = 13 exceeds" in p for p in problems)
+    assert [p.split(":")[0] for p in problems] == ["code (3,3) = 24 exceeds point bound 12"]
 
 
 def test_config_rejects_missing_stage_headroom():
@@ -470,3 +472,32 @@ def test_roundtrip_machine_oracle():
     report = verify_roundtrip(oracle, CodedSpaceConfig(0, 2, 39, 5))
     assert report.passed
     assert report.decoded_in == (1, 3)
+
+
+@pytest.mark.parametrize(
+    "function, args, message",
+    [
+        (pair, (-1, 0), "pair expects non-negative arguments"),
+        (pair, (0, -1), "pair expects non-negative arguments"),
+        (unpair, (-1,), "unpair expects a non-negative code"),
+    ],
+)
+def test_pairing_rejects_negative_arguments(function, args, message):
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        function(*args)
+
+
+@pytest.mark.parametrize(
+    "config, message",
+    [
+        (CodedSpaceConfig(2, 2, 25, 3), "endpoints must satisfy 0 <= a < b, got a=2 b=2"),
+        (CodedSpaceConfig(0, 2, 25, -1), "stage bound -1 must be non-negative"),
+    ],
+)
+def test_config_rejects_bad_endpoints_and_stage_bound(config, message):
+    assert message in validate_config(K1, config)
+
+
+def test_oracle_mismatches_lists_each_disagreement_ascending():
+    decoded = {5: True, 3: True, 4: False, 6: False}
+    assert coding.oracle_mismatches(decoded, {4: 1, 5: 0}) == [(3, True, False), (4, False, True)]

@@ -321,3 +321,41 @@ def test_returned_chains_link_overlapping_vicinities():
             assert x != y
             assert chosen[x] & chosen[y]
     assert found > 30
+
+
+# Points, endpoints and cover indices are ints; a float, a bool or a
+# string is refused by the same rule in every engine and cover function.
+NON_INT_POINTS = [2.0, True, "2"]
+
+
+@pytest.mark.parametrize("b", NON_INT_POINTS, ids=repr)
+@pytest.mark.parametrize("engine", ["brute", "pruned"])
+def test_is_connected_rejects_non_int_endpoints(engine, b):
+    with pytest.raises(ValidationError, match=r"endpoints \[.*\] are not points 0..2"):
+        is_connected(s1(), 0, b, engine=engine)
+
+
+@pytest.mark.parametrize("b", NON_INT_POINTS, ids=repr)
+def test_chain_exists_rejects_non_int_endpoints(b):
+    with pytest.raises(ValidationError, match=r"endpoints \[.*\] are not points 0..2"):
+        chain_exists(s1(), C2, 0, b)
+
+
+@pytest.mark.parametrize("index", [1.0, True], ids=repr)
+def test_cover_functions_reject_non_int_indices(index):
+    cover = {0: 0, 1: index, 2: 0}
+    message = f"vicinity index {index!r} for point 1 is not a non-negative int"
+    with pytest.raises(ValidationError, match=message):
+        chain_exists(s1(), cover, 0, 2)
+    with pytest.raises(ValidationError, match=message):
+        overlap_graph(s1(), cover)
+
+
+def test_resolve_choice_rejects_a_negative_index():
+    with pytest.raises(ValidationError, match="vicinity index -1 for point 0"):
+        resolve_choice(s1().systems[0], -1)
+
+
+def test_is_connected_rejects_an_unknown_engine():
+    with pytest.raises(ValidationError, match="unknown engine 'fast'"):
+        is_connected(s1(), 0, 2, engine="fast")

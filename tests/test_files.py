@@ -305,3 +305,20 @@ def test_parse_inverts_serialize_on_oracles(entries_and_bound):
     text = serialize_oracle(oracle)
     assert parse_oracle(text) == oracle
     assert serialize_oracle(parse_oracle(text)) == text
+
+
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        ("vic 0 0", "line 4: expected 'vic P: members...'"),
+        ("label 0", "line 4: expected 'label P TOKEN'"),
+        ("a 0 0", "line 4: expected 'a P'"),
+        ("b", "line 4: expected 'b P'"),
+        ("a 0\na 0", "line 5: duplicate 'a' line"),
+        ("frob 0", "line 4: unknown directive 'frob'"),
+    ],
+    ids=["vic-colon", "label-arity", "a-arity", "b-arity", "second-a", "directive"],
+)
+def test_malformed_space_lines_are_parse_errors(body, message):
+    with pytest.raises(ParseError, match=f"^{message}$"):
+        parse_space(f"vspace v1\nmode strong\npoints 1\n{body}\n")

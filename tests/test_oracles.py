@@ -120,3 +120,20 @@ def test_bad_instruction_rejected():
         machine_enumeration([(("NOP",),)], 3)
     with pytest.raises(ValidationError):
         machine_enumeration([((INC, 5),)], 3)
+
+
+@pytest.mark.parametrize(
+    "entries, stage_bound, message",
+    [
+        ({}, -1, "stage bound must be non-negative"),
+        ({-1: 0}, 2, "enumerated value -1 must be non-negative"),
+    ],
+)
+def test_oracle_rejects_negative_numbers(entries, stage_bound, message):
+    with pytest.raises(ValidationError, match=message):
+        EnumerationOracle(entries, stage_bound)
+
+
+def test_machine_enumeration_rejects_an_empty_instruction():
+    with pytest.raises(ValidationError, match="program 1: empty instruction at 0"):
+        machine_enumeration([((HALT,),), ((),)], 3)

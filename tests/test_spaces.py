@@ -225,3 +225,63 @@ def test_induced_space_matches_the_definition_on_random_labelings():
         for p in range(n):
             expected = frozenset(q for q in range(n) if pi[q] == pi[p])
             assert space.systems[p] == VicinitySystem(p, (expected,), STRONG)
+
+
+def test_non_int_member_is_reported_not_raised():
+    space = make_space({0: [{0, "x"}]}, num_points=1)
+    assert [v.kind for v in space.violations] == ["member-out-of-range"]
+    with pytest.raises(ValidationError, match="member-out-of-range"):
+        is_connected(space, 0, 0)
+
+
+def test_out_of_range_members_list_ints_ascending_then_the_rest():
+    space = make_space({0: [{0, 9, "x", 7, 2.5}]}, num_points=1)
+    assert [v.detail for v in validate_space(space)] == ["vicinity 0 members [7, 9, 'x', 2.5] outside 0..0"]
+
+
+def _system(owner, *vicinities, mode=STRONG):
+    return VicinitySystem(owner, tuple(frozenset(v) for v in vicinities), mode)
+
+
+MALFORMED_SPACES = {
+    "space-mode": (lambda: FiniteVSpace(1, {0: _system(0, {0})}, "odd"), "bad-mode", None, "unknown mode 'odd'"),
+    "system-mode": (lambda: FiniteVSpace(1, {0: _system(0, {0}, mode="odd")}), "bad-mode", 0, "unknown mode 'odd'"),
+    "missing": (lambda: FiniteVSpace(2, {0: _system(0, {0})}), "missing-system", 1, "no vicinity system"),
+    "stray-key": (
+        lambda: FiniteVSpace(1, {0: _system(0, {0}), 5: _system(5, {5})}),
+        "unknown-point", 5, "outside 0..0",
+    ),
+    "owner": (
+        lambda: FiniteVSpace(2, {0: _system(1, {0, 1}), 1: _system(1, {1})}),
+        "owner-mismatch", 0, "system owner is 1",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_SPACES))
+def test_malformed_spaces_are_reported(case):
+    build, kind, point, detail = MALFORMED_SPACES[case]
+    assert any(
+        v.kind == kind and v.point == point and detail in v.detail for v in validate_space(build())
+    )
+
+
+def test_empty_label_is_refused():
+    with pytest.raises(ValidationError, match="label of point 0 must be a non-empty string"):
+        spaces.require_total_labeling({0: ""}, [0])
+
+
+@pytest.mark.parametrize(
+    "convert, mode",
+    [(weak_from_strong, WEAK), (strong_from_weak, STRONG)],
+    ids=["weak_from_strong", "strong_from_weak"],
+)
+def test_mode_conversions_reject_the_wrong_mode(convert, mode):
+    with pytest.raises(ValidationError, match=f"{convert.__name__} expects a"):
+        convert(_system(0, {0}, mode=mode))
+
+
+@pytest.mark.parametrize("points", [[0, 2], [0, 1.0], [0, True]], ids=repr)
+def test_induced_space_requires_int_points_0_to_n_minus_1(points):
+    with pytest.raises(ValidationError, match="dense range 0..n-1"):
+        induced_space(points, {0: "A", 1: "A", 2: "B"})

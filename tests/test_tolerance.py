@@ -178,3 +178,26 @@ def test_tolerant_cover_witnesses_nonconnectedness():
                     assert verify_witness(space, cover, a, b)
                     checked += 1
     assert checked > 100
+
+
+@pytest.mark.parametrize("b", [2.0, True], ids=repr)
+@pytest.mark.parametrize("engine", ["brute", "pruned"])
+def test_check_nontol_rejects_non_int_endpoints(engine, b):
+    with pytest.raises(ValidationError, match="are not points 0..2"):
+        check_nontol(s2(), PI, 0, b, engine=engine)
+
+
+@pytest.mark.parametrize("b", [2.0, True], ids=repr)
+def test_check_nonconn_rejects_non_int_endpoints(b):
+    with pytest.raises(ValidationError, match="are not points 0..2"):
+        check_nonconn(range(3), PI, 0, b)
+
+
+def test_refute_chain_rejects_non_int_chain_points():
+    with pytest.raises(ValidationError, match=r"chain points \[1.0\] are not points 0..2"):
+        refute_chain_in_induced(range(3), PI, [0, 1.0])
+
+
+def test_refute_chain_rejects_an_empty_chain():
+    with pytest.raises(ValidationError, match="chain must be non-empty"):
+        refute_chain_in_induced(range(3), PI, [])
