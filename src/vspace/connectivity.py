@@ -25,21 +25,22 @@ over masks, ``_path``, serves chains and the brute cover checks.
   the tolerant cover of a two-valued labeling, read backwards.
 
   The search holds A and B as int masks, explores them depth first from
-  an explicit stack, and closes each pair under two rules.  A decided
-  point's *fitting* options are those that avoid the other side; with
-  none it is a conflict, otherwise their intersection joins its side.
-  An undecided point whose every option meets B cannot sit in A, so it
-  goes to B, and symmetrically; if every option meets both sides it is
-  a conflict.  Only the points just decided and the points with an option
-  containing one of them are re-examined.  After the closure it tries
-  three completions: grow A' from A, each point of A' adding its least
-  option that avoids B, and accept A' against the rest if every point
-  outside A' has an option that avoids A'; then A against the rest; then
-  the rest against B.  Failing all three it branches on the lowest
-  undecided point, B first.  The witness gives each point its least
-  original index whose vicinity lies inside its side.  Its budget counts
-  search nodes.  It returns the same verdict as ``brute`` and a valid
-  witness, not necessarily the same one.
+  an explicit stack, and closes each pair under one rule.  A point's
+  options that avoid B fit it to A, those that avoid A fit it to B.  If
+  a point fits only one side, the intersection of its fitting options
+  (which contains the point) joins that side; if it fits neither, it is
+  a conflict.  Every option contains its point, so a decided point fits
+  only its own side.  Only the points just decided and the points with
+  an option containing one of them are re-examined.  After the closure
+  it tries three completions: grow A' from A, each point of A' adding
+  its least option that avoids B, and accept A' against the rest if
+  every point outside A' has an option that avoids A'; then A against
+  the rest; then the rest against B.  Failing all three it branches on
+  the lowest undecided point, B first.  A split is a cut exactly when
+  its tolerant cover exists: each point takes its least original index
+  whose vicinity lies inside its side, and that cover is the witness.
+  Its budget counts search nodes.  It returns the same verdict as
+  ``brute`` and a valid witness, not necessarily the same one.
 """
 from __future__ import annotations
 
@@ -49,7 +50,7 @@ from math import prod
 from typing import Mapping, Sequence
 
 from .errors import BudgetExceededError, ValidationError
-from .spaces import WEAK, FiniteVSpace, VicinitySystem, require_points, require_valid_space
+from .spaces import WEAK, FiniteVSpace, VicinitySystem, _not_points, require_points, require_valid_space
 
 # Hard cap on enumerated covers (brute) or visited search nodes (pruned).
 DEFAULT_MAX_COVERS = 2**24
@@ -92,8 +93,7 @@ def chosen_vicinities(space: FiniteVSpace, cover: Cover) -> dict[int, frozenset[
     missing = sorted(p for p in space.points if p not in cover)
     if missing:
         raise ValidationError(f"cover missing points {missing}")
-    stray = sorted(p for p in cover if p not in space.points)
-    if stray:
+    if stray := _not_points(cover, space.num_points):
         raise ValidationError(f"cover mentions unknown points {stray}")
     return {p: resolve_choice(space.systems[p], cover[p]) for p in space.points}
 
@@ -199,7 +199,7 @@ class _PrunedSearch:
         self.max_nodes = max_nodes
         self.nodes = 0
         # watchers[m]: the points with an option that contains m, the only
-        # points whose rules can change when m is decided.
+        # points whose forcing rule can change when m is decided.
         self.watchers = [0] * len(choices)
         for x, options in enumerate(self.masks):
             union = 0
@@ -228,17 +228,17 @@ class _PrunedSearch:
             frontier = added & ~grown
             grown |= frontier
         for split in (grown, side_a, side_b):
-            if self._splits(split):
-                return self._witness(split)
+            if (witness := self._witness(split)) is not None:
+                return witness
         undecided = self.full & ~(side_a | side_b)
         p = undecided & -undecided
         self.stack.append((side_a | p, side_b, p))
         self.stack.append((side_a, side_b | p, p))
         return None
 
-    def _witness(self, split: int) -> dict[int, int]:
+    def _witness(self, split: int) -> dict[int, int] | None:
         """Each point's least original index whose vicinity lies inside
-        its side of (split, the rest)."""
+        its side of (split, the rest); None if some point has none."""
         witness = {}
         for x, options in enumerate(self.choices):
             avoid = ~split if split >> x & 1 else split
@@ -246,6 +246,8 @@ class _PrunedSearch:
                 if not m & avoid:
                     witness[x] = i
                     break
+            else:
+                return None
         return witness
 
     def _watched(self, mask: int) -> int:
@@ -255,45 +257,26 @@ class _PrunedSearch:
         return out
 
     def _close(self, side_a: int, side_b: int, new: int) -> tuple[int, int] | None:
-        """Close the sides under the forcing rules; None on a conflict."""
-        masks = self.masks
+        """Close the sides under the forcing rule; None on a conflict."""
         while new:
             todo, new = new | self._watched(new), 0
             for x in _bits(todo):
-                bit = 1 << x
-                if bit & (side_a | side_b):
-                    other = side_b if bit & side_a else side_a
-                    common = -1
-                    for m in masks[x]:
-                        if not m & other:
-                            common &= m
-                    if common < 0:
+                # fit_a, fit_b: the common part of the options avoiding B, A; -1 if none.
+                fit_a = fit_b = -1
+                for m in self.masks[x]:
+                    if not m & side_b:
+                        fit_a &= m
+                    if not m & side_a:
+                        fit_b &= m
+                if fit_b < 0:
+                    if fit_a < 0:
                         return None
-                    new |= common & ~(side_a | side_b)
-                    if bit & side_a:
-                        side_a |= common
-                    else:
-                        side_b |= common
-                    continue
-                fits_a = any(not m & side_b for m in masks[x])
-                fits_b = any(not m & side_a for m in masks[x])
-                if not (fits_a or fits_b):
-                    return None
-                if not fits_b:
-                    side_a |= bit
-                    new |= bit
-                elif not fits_a:
-                    side_b |= bit
-                    new |= bit
+                    new |= fit_a & ~(side_a | side_b)
+                    side_a |= fit_a
+                elif fit_a < 0:
+                    new |= fit_b & ~(side_a | side_b)
+                    side_b |= fit_b
         return side_a, side_b
-
-    def _splits(self, side: int) -> bool:
-        """Every point has an option inside its side of (side, the rest).
-        Outside ``side`` only points with an option that meets it can fail."""
-        outside = ~side
-        return all(any(not m & outside for m in self.masks[x]) for x in _bits(side)) and all(
-            any(not m & side for m in self.masks[x]) for x in _bits(self._watched(side) & outside)
-        )
 
 
 def is_connected(

@@ -134,10 +134,12 @@ def validate_space(space: FiniteVSpace) -> list[Violation]:
     for p in space.points:
         if p not in space.systems:
             out.append(Violation("missing-system", p, "point has no vicinity system"))
-    for key, system in sorted(space.systems.items()):
-        if not 0 <= key < space.num_points:
+    stray = _not_points(space.systems, space.num_points)
+    for key in sorted(space.systems, key=_point_order):
+        if key in stray:
             out.append(Violation("unknown-point", key, f"system keyed by point outside 0..{space.num_points - 1}"))
             continue
+        system = space.systems[key]
         if system.owner != key:
             out.append(Violation("owner-mismatch", key, f"system owner is {system.owner}"))
         out.extend(validate_system(system, space.num_points, space.mode))
@@ -149,11 +151,16 @@ def require_valid_space(space: FiniteVSpace) -> None:
         raise ValidationError("invalid space: " + "; ".join(str(v) for v in space.violations))
 
 
+def _point_order(p) -> tuple:
+    """Ints ascending, then everything else by repr."""
+    return (0, p) if type(p) is int else (1, repr(p))
+
+
 def _not_points(items: Iterable, num_points: int) -> list:
     """The one point rule: the items that are not ints (a bool is not) in
-    0..num_points-1, ints ascending first."""
+    0..num_points-1, in ``_point_order``."""
     bad = [p for p in items if not (type(p) is int and 0 <= p < num_points)]
-    return sorted(bad, key=lambda p: (0, p) if type(p) is int else (1, repr(p))) if bad else bad
+    return sorted(bad, key=_point_order) if bad else bad
 
 
 def require_points(space: FiniteVSpace, points: Iterable[int], what: str) -> None:

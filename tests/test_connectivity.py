@@ -129,6 +129,7 @@ def test_cover_functions_reject_invalid_spaces(function, space):
 INCOMPLETE_COVERS = {
     "missing": ({0: 0, 2: 0}, r"cover missing points \[1\]"),
     "stray": ({**C1, 3: 0}, r"cover mentions unknown points \[3\]"),
+    "stray-mixed": ({**C1, "x": 0, 5: 0}, r"cover mentions unknown points \[5, 'x'\]"),
 }
 WITNESS_FUNCTIONS = {
     "chain_exists": chain_exists,
@@ -232,8 +233,10 @@ def coded_small():
         (lambda: dense_space(339476157, 16, 0.111), 1, {3: 1, 5: 1, 7: 1}),
         (lambda: dense_space(1607279297, 16, 0.125), 5, None),
         (coded_small, 1, {3: 2}),
+        (lambda: dense_space(124576495, 40, 0.07), 143, None),
+        (lambda: dense_space(1539898300, 40, 0.07), 2, {0: 2, 3: 1, 19: 1, 24: 1, 28: 1, 33: 1}),
     ],
-    ids=["dense-notconnected", "dense-connected", "coded_small"],
+    ids=["dense-notconnected", "dense-connected", "coded_small", "dense40-connected", "dense40-notconnected"],
 )
 def test_pruned_engine_witness_and_node_count_are_pinned(instance, nodes, witness):
     # Non-zero witness indices are listed; every other point takes index 0.

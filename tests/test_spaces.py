@@ -251,6 +251,14 @@ MALFORMED_SPACES = {
         lambda: FiniteVSpace(1, {0: _system(0, {0}), 5: _system(5, {5})}),
         "unknown-point", 5, "outside 0..0",
     ),
+    "str-key": (
+        lambda: FiniteVSpace(1, {0: _system(0, {0}), "x": _system(0, {0})}),
+        "unknown-point", "x", "outside 0..0",
+    ),
+    "bool-key": (
+        lambda: FiniteVSpace(2, {0: _system(0, {0}), True: _system(1, {1})}),
+        "unknown-point", True, "outside 0..1",
+    ),
     "owner": (
         lambda: FiniteVSpace(2, {0: _system(1, {0, 1}), 1: _system(1, {1})}),
         "owner-mismatch", 0, "system owner is 1",
@@ -264,6 +272,18 @@ def test_malformed_spaces_are_reported(case):
     assert any(
         v.kind == kind and v.point == point and detail in v.detail for v in validate_space(build())
     )
+
+
+def test_is_connected_reports_non_int_system_keys():
+    with pytest.raises(ValidationError, match=r"invalid space: unknown-point \(point x\)"):
+        is_connected(MALFORMED_SPACES["str-key"][0](), 0, 0)
+
+
+def test_int_keyed_violations_follow_key_order():
+    space = FiniteVSpace(2, {5: _system(5, {5}), 1: _system(0, {0, 1}), -1: _system(-1, {-1}), 0: _system(0, {0})})
+    assert [(v.kind, v.point) for v in validate_space(space)] == [
+        ("unknown-point", -1), ("owner-mismatch", 1), ("unknown-point", 5)
+    ]
 
 
 def test_empty_label_is_refused():
