@@ -125,19 +125,28 @@ def _role(entries: dict[int, int], y: int) -> tuple[int, int, str | None]:
     return x, s, None
 
 
-def _bases(config: CodedSpaceConfig) -> dict[int, str]:
-    """The labels fixed before the rule: pi(0) = pi(a) = 0, pi(b) = 1 (b > 0)."""
-    return {0: LABEL_A, config.a: LABEL_A, config.b: LABEL_B}
+def _labeling(
+    entries: dict[int, int], config: CodedSpaceConfig
+) -> tuple[dict[int, str], dict[str, list[int]], list[list[int]]]:
+    """pi, the members of V_a and V_b by label, and each x's codes of stage <= T.
 
-
-def _label(entries: dict[int, int], bases: dict[int, str], y: int) -> str:
-    """pi(y) without building the space: a base, else y's role, else the
-    label of its parent unpair(y)[0], which is smaller than y."""
-    while y not in bases:
-        y, _, role = _role(entries, y)
+    One pass reads each y = code(x, s) in 0..M once, with its role.  A
+    role puts y into V_a or V_b and is y's label; otherwise y copies
+    pi(x), x < y, except at the bases pi(a) = 0, pi(b) = 1, pi(0) = 0.
+    Codes of stages s <= T join x's list in ascending s.
+    """
+    a, b, m, t = config.a, config.b, config.point_bound, config.stage_bound
+    pi = {0: LABEL_A, a: LABEL_A, b: LABEL_B}
+    endpoint_vics: dict[str, list[int]] = {LABEL_A: [a], LABEL_B: [b]}
+    codes: list[list[int]] = [[] for _ in range(m + 1)]
+    for y in range(m + 1):
+        x, s, role = _role(entries, y)
         if role is not None:
-            return role
-    return bases[y]
+            endpoint_vics[role].append(y)
+        pi.setdefault(y, pi[x] if role is None else role)
+        if s <= t:
+            codes[x].append(y)
+    return pi, endpoint_vics, codes
 
 
 def validate_config(oracle: EnumerationOracle, config: CodedSpaceConfig) -> list[str]:
@@ -151,8 +160,11 @@ def validate_config(oracle: EnumerationOracle, config: CodedSpaceConfig) -> list
     truncation leaves x with a code-free vicinity that a witness cover
     may select, and the decode step would under-report x.
     """
-    problems: list[str] = []
     a, b, m, t = config.a, config.b, config.point_bound, config.stage_bound
+    fields = (("a", a), ("b", b), ("point bound", m), ("stage bound", t))
+    problems = [f"{name} must be an int, got {value!r}" for name, value in fields if type(value) is not int]
+    if problems:
+        return problems
     if not 0 <= a < b:
         problems.append(f"endpoints must satisfy 0 <= a < b, got a={a} b={b}")
     if b > m:
@@ -166,7 +178,7 @@ def validate_config(oracle: EnumerationOracle, config: CodedSpaceConfig) -> list
     if problems:
         return problems
     entries = _bounded_entries(oracle, config)
-    bases = _bases(config)
+    pi: dict[int, str] = {}
     for e, name in ((a, "a"), (b, "b")):
         if e in entries:
             problems.append(f"endpoint {name}={e} is enumerated (stage {entries[e]})")
@@ -175,11 +187,13 @@ def validate_config(oracle: EnumerationOracle, config: CodedSpaceConfig) -> list
             problems.append(
                 f"endpoint {name}={e} is the code of ({x},{s}) with {x} newly enumerated at {entries[x]}"
             )
-        elif s == t and x not in (a, b) and (label := _label(entries, bases, x)) != bases[e]:
-            problems.append(
-                f"endpoint {name}={e} is the code of ({x},{t}) and so lies in every vicinity "
-                f"of {x}, but pi({x})={label} differs from pi({name})={bases[e]}"
-            )
+        elif s == t and x not in (a, b):
+            pi = pi or _labeling(entries, config)[0]
+            if pi[x] != pi[e]:
+                problems.append(
+                    f"endpoint {name}={e} is the code of ({x},{t}) and so lies in every vicinity "
+                    f"of {x}, but pi({x})={pi[x]} differs from pi({name})={pi[e]}"
+                )
     if 0 not in (a, b) and entries.get(0, 0) >= 1:
         problems.append(
             "0 enumerated at a positive stage but not an endpoint: "
@@ -207,28 +221,12 @@ def build_pi(oracle: EnumerationOracle, config: CodedSpaceConfig) -> dict[int, s
 
 
 def build_coded_space(oracle: EnumerationOracle, config: CodedSpaceConfig) -> CodedSpace:
-    """Construct the coded space and its labeling for a valid config.
-
-    One pass reads each y = code(x, s) in 0..M once, with its role.  A
-    role puts y into V_a or V_b and is y's label; otherwise y copies
-    pi(x), x < y, except at the bases pi(a) = 0, pi(b) = 1, pi(0) = 0.
-    Codes of stages s <= T join x's list in ascending s.
-    """
+    """Construct the coded space and its labeling (see ``_labeling``) for a valid config."""
     problems = validate_config(oracle, config)
     if problems:
         raise CodingConfigError("; ".join(problems))
-    entries = _bounded_entries(oracle, config)
     a, b, m, t = config.a, config.b, config.point_bound, config.stage_bound
-    pi = _bases(config)
-    endpoint_vics: dict[str, list[int]] = {LABEL_A: [a], LABEL_B: [b]}
-    codes: list[list[int]] = [[] for _ in range(m + 1)]
-    for y in range(m + 1):
-        x, s, role = _role(entries, y)
-        if role is not None:
-            endpoint_vics[role].append(y)
-        pi.setdefault(y, pi[x] if role is None else role)
-        if s <= t:
-            codes[x].append(y)
+    pi, endpoint_vics, codes = _labeling(_bounded_entries(oracle, config), config)
     systems: dict[int, VicinitySystem] = {
         a: VicinitySystem(a, (frozenset(endpoint_vics[LABEL_A]),), STRONG),
         b: VicinitySystem(b, (frozenset(endpoint_vics[LABEL_B]),), STRONG),

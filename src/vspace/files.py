@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 
 from .errors import ParseError, ValidationError
 from .oracles import EnumerationOracle
-from .spaces import STRONG, WEAK, FiniteVSpace, VicinitySystem, require_points
+from .spaces import STRONG, WEAK, FiniteVSpace, make_space, require_points
 
 LABEL_TOKEN = re.compile(r"[A-Za-z0-9_]+\Z")
 
@@ -158,10 +158,7 @@ def parse_space(text: str) -> SpaceDocument:
         else:
             raise ParseError(f"line {lineno}: unknown directive {kind!r}")
 
-    systems = {
-        p: VicinitySystem(p, tuple(vicinities[p]), mode) for p in range(num_points)
-    }
-    space = FiniteVSpace(num_points, systems, mode)
+    space = make_space(vicinities, mode, num_points)
     return SpaceDocument(space, labels, endpoints.get("a"), endpoints.get("b"))
 
 

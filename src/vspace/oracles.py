@@ -35,15 +35,13 @@ class EnumerationOracle:
     stage_bound: int
 
     def __post_init__(self):
-        if self.stage_bound < 0:
-            raise ValidationError("stage bound must be non-negative")
+        if type(self.stage_bound) is not int or self.stage_bound < 0:
+            raise ValidationError(f"stage bound must be non-negative and an int, got {self.stage_bound!r}")
         for x, s in self.entries.items():
-            if x < 0:
-                raise ValidationError(f"enumerated value {x} must be non-negative")
-            if not 0 <= s <= self.stage_bound:
-                raise ValidationError(
-                    f"stage {s} of value {x} outside 0..{self.stage_bound}"
-                )
+            if type(x) is not int or x < 0:
+                raise ValidationError(f"enumerated value {x!r} must be non-negative and an int")
+            if type(s) is not int or not 0 <= s <= self.stage_bound:
+                raise ValidationError(f"stage {s!r} of value {x} is not an int in 0..{self.stage_bound}")
 
 
 def _check_stage(oracle: EnumerationOracle, s: int) -> None:

@@ -81,19 +81,18 @@ def make_space(
 ) -> FiniteVSpace:
     """Build a space from per-point vicinity lists.
 
-    Points not mentioned as keys get an empty system (flagged later by
-    validate_space), so deliberately broken spaces can be constructed.
+    Without ``num_points`` the space has one point more than the largest
+    point, an int (not a bool) >= 0, among the keys and members.  Points
+    not mentioned as keys get an empty system and keys that are not
+    points are kept, both flagged later by validate_space, so
+    deliberately broken spaces can be constructed.
     """
-    mentioned = set(vicinities)
-    for vics in vicinities.values():
-        for v in vics:
-            mentioned.update(v)
-    n = num_points if num_points is not None else (max(mentioned) + 1 if mentioned else 0)
-    systems = {}
-    for p in range(n):
-        vics = tuple(frozenset(v) for v in vicinities.get(p, ()))
-        systems[p] = VicinitySystem(p, vics, mode)
-    return FiniteVSpace(n, systems, mode)
+    if num_points is None:
+        members = (p for vics in vicinities.values() for v in vics for p in v)
+        num_points = 1 + max((p for p in (*vicinities, *members) if type(p) is int and p >= 0), default=-1)
+    systems = {p: VicinitySystem(p, tuple(map(frozenset, vics)), mode) for p, vics in vicinities.items()}
+    systems.update({p: VicinitySystem(p, (), mode) for p in range(num_points) if p not in systems})
+    return FiniteVSpace(num_points, systems, mode)
 
 
 def validate_system(
@@ -128,6 +127,8 @@ def validate_system(
 
 def validate_space(space: FiniteVSpace) -> list[Violation]:
     """All invariant violations of a candidate space (empty list = valid)."""
+    if not (type(space.num_points) is int and space.num_points >= 0):
+        return [Violation("bad-size", None, f"point count {space.num_points!r} is not an int >= 0")]
     out: list[Violation] = []
     if space.mode not in (WEAK, STRONG):
         out.append(Violation("bad-mode", None, f"unknown mode {space.mode!r}"))
@@ -205,11 +206,7 @@ def strong_from_weak(system: VicinitySystem) -> VicinitySystem:
     if system.mode != WEAK:
         raise ValidationError("strong_from_weak expects a weak system")
     _require_valid_system(system)
-    seen: list[frozenset[int]] = []
-    for vic in system.vicinities:
-        if vic not in seen:
-            seen.append(vic)
-    return VicinitySystem(system.owner, tuple(seen), STRONG)
+    return VicinitySystem(system.owner, tuple(dict.fromkeys(system.vicinities)), STRONG)
 
 
 def induced_space(points: Iterable[int], pi: Labeling) -> FiniteVSpace:
@@ -223,5 +220,4 @@ def induced_space(points: Iterable[int], pi: Labeling) -> FiniteVSpace:
     for p in range(n):
         members.setdefault(pi[p], []).append(p)
     classes = {token: frozenset(ps) for token, ps in members.items()}
-    systems = {p: VicinitySystem(p, (classes[pi[p]],), STRONG) for p in range(n)}
-    return FiniteVSpace(n, systems, STRONG)
+    return make_space({p: [classes[pi[p]]] for p in range(n)}, STRONG, n)

@@ -144,6 +144,16 @@ def test_induced_roundtrips_through_verify(capsys, tmp_path):
     assert out.startswith("notconnected\n")
 
 
+def test_induced_writes_the_label_classes_and_they_are_never_connected(capsys, tmp_path):
+    out_file = tmp_path / "induced.vs"
+    assert run(capsys, "induced", fx("s1.vs"), "--out", str(out_file)) == (0, "ok\n", "")
+    assert out_file.read_text().splitlines() == [
+        "vspace v1", "mode strong", "points 3", "vic 0: 0 1", "vic 1: 0 1", "vic 2: 2",
+        "label 0 A", "label 1 A", "label 2 B", "a 0", "b 2",
+    ]
+    assert run(capsys, "verify-nonconn", str(out_file)) == (0, "holds\n", "")
+
+
 def test_verify_nontol_holds(capsys):
     code, out, _ = run(capsys, "verify-nontol", fx("s2.vs"))
     assert code == 0

@@ -501,3 +501,19 @@ def test_config_rejects_bad_endpoints_and_stage_bound(config, message):
 def test_oracle_mismatches_lists_each_disagreement_ascending():
     decoded = {5: True, 3: True, 4: False, 6: False}
     assert coding.oracle_mismatches(decoded, {4: 1, 5: 0}) == [(3, True, False), (4, False, True)]
+
+
+@pytest.mark.parametrize(
+    "config, message",
+    [
+        (CodedSpaceConfig(0, 2, 25.0, 3), "point bound must be an int, got 25.0"),
+        (CodedSpaceConfig(0, True, 25, 3), "b must be an int, got True"),
+        (CodedSpaceConfig("0", 2, 25, 3), "a must be an int, got '0'"),
+        (CodedSpaceConfig(0, 2, 25, 3.0), "stage bound must be an int, got 3.0"),
+    ],
+    ids=["float-point-bound", "bool-b", "str-a", "float-stage-bound"],
+)
+def test_config_rejects_non_int_fields(config, message):
+    assert validate_config(EnumerationOracle({}, 3), config) == [message]
+    with pytest.raises(CodingConfigError, match=f"^{message}$"):
+        build_coded_space(EnumerationOracle({}, 3), config)

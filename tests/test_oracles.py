@@ -137,3 +137,21 @@ def test_oracle_rejects_negative_numbers(entries, stage_bound, message):
 def test_machine_enumeration_rejects_an_empty_instruction():
     with pytest.raises(ValidationError, match="program 1: empty instruction at 0"):
         machine_enumeration([((HALT,),), ((),)], 3)
+
+
+@pytest.mark.parametrize(
+    "entries, stage_bound, message",
+    [
+        ({"x": 1}, 3, "enumerated value 'x' must be non-negative and an int"),
+        ({1.5: 1}, 3, "enumerated value 1.5 must be non-negative and an int"),
+        ({True: 1}, 3, "enumerated value True must be non-negative and an int"),
+        ({1: 1.0}, 3, "stage 1.0 of value 1 is not an int in 0..3"),
+        ({1: True}, 3, "stage True of value 1 is not an int in 0..3"),
+        ({}, 2.5, "stage bound must be non-negative and an int, got 2.5"),
+        ({}, True, "stage bound must be non-negative and an int, got True"),
+    ],
+    ids=["str-value", "float-value", "bool-value", "float-stage", "bool-stage", "float-bound", "bool-bound"],
+)
+def test_oracle_rejects_non_int_numbers(entries, stage_bound, message):
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        EnumerationOracle(entries, stage_bound)

@@ -305,3 +305,32 @@ def test_mode_conversions_reject_the_wrong_mode(convert, mode):
 def test_induced_space_requires_int_points_0_to_n_minus_1(points):
     with pytest.raises(ValidationError, match="dense range 0..n-1"):
         induced_space(points, {0: "A", 1: "A", 2: "B"})
+
+
+@pytest.mark.parametrize(
+    "vicinities, kind, point",
+    [
+        ({0: [{0, "x"}]}, "member-out-of-range", 0),
+        ({"x": [{0}], 0: [{0}]}, "unknown-point", "x"),
+        ({0: [{0, 1.5}]}, "member-out-of-range", 0),
+        ({0: [{0, True}]}, "member-out-of-range", 0),
+    ],
+    ids=["str-member", "str-key", "float-member", "bool-member"],
+)
+def test_make_space_counts_only_int_points(vicinities, kind, point):
+    space = make_space(vicinities)
+    assert space.num_points == 1
+    assert [(v.kind, v.point) for v in space.violations] == [(kind, point)]
+
+
+def test_make_space_keeps_keys_outside_the_given_count():
+    space = make_space({0: [{0}], 1: [{1}], 2: [{2}], 5: [{5}]}, num_points=3)
+    assert [str(v) for v in space.violations] == ["unknown-point (point 5): system keyed by point outside 0..2"]
+
+
+@pytest.mark.parametrize("num_points", [-1, 2.0, True, "3", None], ids=repr)
+def test_bad_point_count_is_one_violation(num_points):
+    space = FiniteVSpace(num_points, {0: _system(0, {0}), "x": _system(0, {7})}, "odd")
+    assert [(v.kind, v.point) for v in validate_space(space)] == [("bad-size", None)]
+    with pytest.raises(ValidationError, match=r"invalid space: bad-size \(space\): point count"):
+        is_connected(space, 0, 0)
