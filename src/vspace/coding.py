@@ -48,6 +48,8 @@ MAX_STAGE_BOUND = 100
 
 def pair(x: int, s: int) -> int:
     """Diagonal pairing code of (x, s)."""
+    if type(x) is not int or type(s) is not int:
+        raise ValidationError(f"pair expects ints, got ({x!r}, {s!r})")
     if x < 0 or s < 0:
         raise ValidationError("pair expects non-negative arguments")
     d = x + s
@@ -56,6 +58,8 @@ def pair(x: int, s: int) -> int:
 
 def unpair(code: int) -> tuple[int, int]:
     """Inverse of pair."""
+    if type(code) is not int:
+        raise ValidationError(f"unpair expects an int, got {code!r}")
     if code < 0:
         raise ValidationError("unpair expects a non-negative code")
     d = (isqrt(8 * code + 1) - 1) // 2

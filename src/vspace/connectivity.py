@@ -5,17 +5,17 @@ A cover picks one vicinity per point.  Two points are connected when
 vicinities intersect.  A cover admitting no such chain is a witness that
 the points are not connected.
 
-Both engines search a compiled space: per point, its distinct vicinity
-sets as int bitmasks (bit m set iff m is a member), each with its first
-original index, so identical sets are collapsed (they induce identical
-overlap graphs) while witness indices refer to the original sequence.
-Vicinities meet iff their masks share a bit; one shortest-path routine
-over masks, ``_path``, serves chains and the brute cover checks.
+Both engines read one compiled form: per point, a dict from each
+distinct vicinity set, as an int bitmask (bit m set iff m is a member),
+to its first original index.  Identical sets collapse (they induce
+identical overlap graphs); witnesses use the original indices.  Masks
+meet iff they share a bit; one shortest-path routine over masks,
+``_path``, serves chains and the brute cover checks.
 
 * ``brute`` enumerates covers in lexicographic order of (point id,
   vicinity index) and returns the first witness found, so its witness is
   deterministic and stable for golden tests.  Its budget counts covers,
-  checked up front before any search.
+  counted before any search and only until the count passes the budget.
 * ``pruned`` searches for a cut instead of a cover.  a and b are not
   connected iff the points split into sides A containing a and B
   containing b so that every point has a vicinity inside its own side:
@@ -39,14 +39,14 @@ over masks, ``_path``, serves chains and the brute cover checks.
   the lowest undecided point, B first.  A split is a cut exactly when
   its tolerant cover exists: each point takes its least original index
   whose vicinity lies inside its side, and that cover is the witness.
-  Its budget counts search nodes.  It returns the same verdict as
-  ``brute`` and a valid witness, not necessarily the same one.
+  The search is built from the space alone, once per call, and a query
+  (endpoints, node budget) leaves it unchanged.  Its verdict is
+  ``brute``'s; its witness is valid but may differ.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import prod
 from typing import Mapping, Sequence
 
 from .errors import BudgetExceededError, ValidationError
@@ -69,6 +69,14 @@ class ConnectivityVerdict:
 
     connected: bool
     witness: dict[int, int] | None = None
+
+
+def require_search(engine: str, max_covers: int) -> None:
+    """Reject a budget that is not an int >= 0 (checked first), then an unknown engine."""
+    if type(max_covers) is not int or max_covers < 0:
+        raise ValidationError(f"max_covers must be non-negative and an int, got {max_covers!r}")
+    if engine not in ("brute", "pruned"):
+        raise ValidationError(f"unknown engine {engine!r}")
 
 
 def resolve_choice(system: VicinitySystem, index: int) -> frozenset[int]:
@@ -125,14 +133,14 @@ def _mask(vicinity: frozenset[int]) -> int:
     return sum(1 << m for m in vicinity)
 
 
-def _compile(space: FiniteVSpace) -> list[list[tuple[int, int]]]:
-    """Per point, its distinct vicinity sets as (first original index, mask)."""
+def _compile(space: FiniteVSpace) -> list[dict[int, int]]:
+    """Per point, {mask: first original index} of its vicinities, in order of first occurrence."""
     out = []
     for p in space.points:
         first: dict[int, int] = {}
         for i, vic in enumerate(space.systems[p].vicinities):
             first.setdefault(_mask(vic), i)
-        out.append([(i, mask) for mask, i in first.items()])
+        out.append(first)
     return out
 
 
@@ -162,17 +170,19 @@ def _path(masks: Sequence[int], a: int, b: int) -> list[int] | None:
     return None
 
 
-def _sets_reachable(masks: list[int], a: int, b: int) -> bool:
+def _sets_reachable(masks: Sequence[int], a: int, b: int) -> bool:
     return _path(masks, a, b) is not None
 
 
-def _brute(choices: list[list[tuple[int, int]]], a: int, b: int, max_covers: int) -> ConnectivityVerdict:
-    total = prod(len(c) for c in choices)
-    if total > max_covers:
-        raise BudgetExceededError(f"{total} covers exceed the budget of {max_covers}")
+def _brute(choices: list[dict[int, int]], a: int, b: int, max_covers: int) -> ConnectivityVerdict:
+    total = 1
+    for options in choices:
+        total *= len(options)  # never shrinks, so stop once past the budget
+        if total > max_covers:
+            raise BudgetExceededError(f"the covers exceed the budget of {max_covers}")
     for combo in itertools.product(*choices):
-        if not _sets_reachable([mask for _, mask in combo], a, b):
-            return ConnectivityVerdict(False, {p: i for p, (i, _) in enumerate(combo)})
+        if not _sets_reachable(combo, a, b):
+            return ConnectivityVerdict(False, {p: choices[p][mask] for p, mask in enumerate(combo)})
     return ConnectivityVerdict(True)
 
 
@@ -186,37 +196,35 @@ def _bits(mask: int):
 
 class _PrunedSearch:
     """Depth-first search for sides A containing a and B containing b
-    that leave every point an option inside its own side.
-
-    Stack entries are (A, B, points decided since the last closure).  Each
-    ``search`` call expands one entry, so it is one search node; the
-    caller pops until a witness comes back or the stack is empty.
+    that leave every point an option inside its own side.  ``run`` holds
+    a query; each ``search`` call expands one entry (A, B, points decided
+    since the last closure) of its stack, so it is one search node.
     """
 
-    def __init__(self, choices, a, b, max_nodes):
+    def __init__(self, choices):
         self.choices = choices
-        self.masks = [[mask for _, mask in c] for c in choices]
-        self.max_nodes = max_nodes
-        self.nodes = 0
         # watchers[m]: the points with an option that contains m, the only
         # points whose forcing rule can change when m is decided.
         self.watchers = [0] * len(choices)
-        for x, options in enumerate(self.masks):
+        for x, options in enumerate(choices):
             union = 0
             for mask in options:
                 union |= mask
             for m in _bits(union):
                 self.watchers[m] |= 1 << x
         self.full = (1 << len(choices)) - 1
-        self.stack = [(1 << a, 1 << b, 1 << a | 1 << b)]
 
-    def search(self) -> dict[int, int] | None:
-        self.nodes += 1
-        if self.nodes > self.max_nodes:
-            raise BudgetExceededError(
-                f"pruned search exceeded the node budget of {self.max_nodes}"
-            )
-        sides = self._close(*self.stack.pop())
+    def run(self, a: int, b: int, max_nodes: int) -> ConnectivityVerdict:
+        stack = [(1 << a, 1 << b, 1 << a | 1 << b)]
+        for _ in range(max_nodes):
+            if (witness := self.search(stack)) is not None:
+                return ConnectivityVerdict(False, witness)
+            if not stack:
+                return ConnectivityVerdict(True)
+        raise BudgetExceededError(f"pruned search exceeded the node budget of {max_nodes}")
+
+    def search(self, stack: list[tuple[int, int, int]]) -> dict[int, int] | None:
+        sides = self._close(*stack.pop())
         if sides is None:
             return None
         side_a, side_b = sides
@@ -224,7 +232,7 @@ class _PrunedSearch:
         while frontier:
             added = 0
             for x in _bits(frontier):
-                added |= next(m for m in self.masks[x] if not m & side_b)
+                added |= next(m for m in self.choices[x] if not m & side_b)
             frontier = added & ~grown
             grown |= frontier
         for split in (grown, side_a, side_b):
@@ -232,8 +240,8 @@ class _PrunedSearch:
                 return witness
         undecided = self.full & ~(side_a | side_b)
         p = undecided & -undecided
-        self.stack.append((side_a | p, side_b, p))
-        self.stack.append((side_a, side_b | p, p))
+        stack.append((side_a | p, side_b, p))
+        stack.append((side_a, side_b | p, p))
         return None
 
     def _witness(self, split: int) -> dict[int, int] | None:
@@ -242,7 +250,7 @@ class _PrunedSearch:
         witness = {}
         for x, options in enumerate(self.choices):
             avoid = ~split if split >> x & 1 else split
-            for i, m in options:
+            for m, i in options.items():
                 if not m & avoid:
                     witness[x] = i
                     break
@@ -263,7 +271,7 @@ class _PrunedSearch:
             for x in _bits(todo):
                 # fit_a, fit_b: the common part of the options avoiding B, A; -1 if none.
                 fit_a = fit_b = -1
-                for m in self.masks[x]:
+                for m in self.choices[x]:
                     if not m & side_b:
                         fit_a &= m
                     if not m & side_a:
@@ -293,20 +301,12 @@ def is_connected(
     when the search space exceeds ``max_covers``: covers for ``brute``,
     search nodes for ``pruned``.
     """
-    if max_covers < 0:
-        raise ValidationError(f"max_covers must be non-negative, got {max_covers}")
+    require_search(engine, max_covers)
     require_valid_space(space)
     require_points(space, (a, b), "endpoints")
-    if engine not in ("brute", "pruned"):
-        raise ValidationError(f"unknown engine {engine!r}")
     if a == b:
         return ConnectivityVerdict(True)
     choices = _compile(space)
     if engine == "brute":
         return _brute(choices, a, b, max_covers)
-    search = _PrunedSearch(choices, a, b, max_covers)
-    while search.stack:
-        witness = search.search()
-        if witness is not None:
-            return ConnectivityVerdict(False, witness)
-    return ConnectivityVerdict(True)
+    return _PrunedSearch(choices).run(a, b, max_covers)

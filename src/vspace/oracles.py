@@ -45,8 +45,8 @@ class EnumerationOracle:
 
 
 def _check_stage(oracle: EnumerationOracle, s: int) -> None:
-    if not 0 <= s <= oracle.stage_bound:
-        raise ValidationError(f"stage {s} outside 0..{oracle.stage_bound}")
+    if type(s) is not int or not 0 <= s <= oracle.stage_bound:
+        raise ValidationError(f"stage {s!r} is not an int in 0..{oracle.stage_bound}")
 
 
 def member_at(oracle: EnumerationOracle, x: int, t: int) -> bool:

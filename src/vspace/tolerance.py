@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .connectivity import DEFAULT_MAX_COVERS, chain_exists, is_connected
+from .connectivity import DEFAULT_MAX_COVERS, chain_exists, is_connected, require_search
 from .errors import ValidationError
 from .spaces import (
     FiniteVSpace,
@@ -125,6 +125,7 @@ def check_nontol(
     hypothesis fails, and Refuted if the implication ever failed (it
     cannot on a valid space; the acceptance suite sweeps this).
     """
+    require_search(engine, max_covers)
     require_valid_space(space)
     require_total_labeling(pi, space.points)
     require_points(space, (a, b), "endpoints")

@@ -379,3 +379,23 @@ def test_code_decode_with_oracle_mismatch(capsys):
         "--cover", fx("coded_witness.cov"), "--oracle", fx("empty.orc"),
     )
     assert (code, out) == (1, "decoded\nin 3\nagreement mismatch\nmismatch 3 decoded=in oracle=out\n")
+
+
+@pytest.mark.parametrize("b", ["1", "2"], ids=["equal-labels", "different-labels"])
+def test_verify_nontol_negative_budget_is_an_error(capsys, b):
+    code, out, err = run(capsys, "verify-nontol", fx("s1.vs"), "--a", "0", "--b", b, "--max-covers", "-1")
+    assert (code, out) == (2, "")
+    assert "must be non-negative" in err
+
+
+def test_connected_budget_error_on_a_huge_cover_count(capsys, tmp_path):
+    # 3**10000 covers: the count is cut off at the budget, never printed.
+    n = 10_000
+    lines = ["vspace v1", "mode strong", f"points {n}"]
+    for p in range(n):
+        lines += [f"vic {p}: {p}"] + [f"vic {p}: {' '.join(map(str, sorted({p, (p + k) % n})))}" for k in (1, 2)]
+    space = tmp_path / "ring.vs"
+    space.write_text("\n".join(lines) + "\n")
+    code, out, err = run(capsys, "connected", str(space), "--a", "0", "--b", "1")
+    assert (code, out) == (2, "")
+    assert "budget" in err and "internal error" not in err

@@ -517,3 +517,18 @@ def test_config_rejects_non_int_fields(config, message):
     assert validate_config(EnumerationOracle({}, 3), config) == [message]
     with pytest.raises(CodingConfigError, match=f"^{message}$"):
         build_coded_space(EnumerationOracle({}, 3), config)
+
+
+@pytest.mark.parametrize(
+    "function, args, message",
+    [
+        (pair, (1.5, 2), r"pair expects ints, got \(1.5, 2\)"),
+        (pair, (True, 1), r"pair expects ints, got \(True, 1\)"),
+        (pair, (0, "1"), r"pair expects ints, got \(0, '1'\)"),
+        (unpair, (2.5,), "unpair expects an int, got 2.5"),
+        (unpair, (True,), "unpair expects an int, got True"),
+    ],
+)
+def test_pairing_rejects_non_int_arguments(function, args, message):
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        function(*args)

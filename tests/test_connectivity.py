@@ -1,3 +1,4 @@
+import copy
 import random
 from pathlib import Path
 
@@ -18,7 +19,7 @@ from vspace import (
     overlap_graph,
     verify_witness,
 )
-from vspace.connectivity import resolve_choice
+from vspace.connectivity import DEFAULT_MAX_COVERS, _compile, _PrunedSearch, resolve_choice
 from vspace.files import parse_space
 
 from _helpers import brute_force_connected, cover_count, first_witness, random_space
@@ -362,3 +363,44 @@ def test_resolve_choice_rejects_a_negative_index():
 def test_is_connected_rejects_an_unknown_engine():
     with pytest.raises(ValidationError, match="unknown engine 'fast'"):
         is_connected(s1(), 0, 2, engine="fast")
+
+
+def three_vicinity_ring(n):
+    """Point p has vicinities {p}, {p, p+1 mod n} and {p, p+2 mod n}: 3**n covers."""
+    return make_space({p: [{p}, {p, (p + 1) % n}, {p, (p + 2) % n}] for p in range(n)})
+
+
+def test_brute_budget_check_stops_at_the_budget():
+    # 3**10000 has 4,772 digits; multiplying it out and printing it fails.
+    with pytest.raises(BudgetExceededError, match="budget") as info:
+        is_connected(three_vicinity_ring(10_000), 0, 1)
+    assert len(str(info.value)) < 100
+
+
+@pytest.mark.parametrize("budget", [2.5, True, "5", None], ids=repr)
+@pytest.mark.parametrize("engine", ["brute", "pruned"])
+def test_budget_must_be_an_int(engine, budget):
+    with pytest.raises(ValidationError, match="max_covers must be non-negative"):
+        is_connected(s1(), 0, 2, engine=engine, max_covers=budget)
+
+
+def test_compiled_search_answers_several_queries_unchanged():
+    # One object, queried (a, b), (b, a), (a, b), a zero budget, then
+    # (a, b) again, answers as a fresh object does and keeps its state.
+    for seed in range(200):
+        rng = random.Random(90_000 + seed)
+        space = random_space(rng, max_points=9, max_vics=3)
+        a, b = rng.sample(range(space.num_points), 2)
+        choices = _compile(space)
+        search = _PrunedSearch(choices)
+        state = copy.deepcopy(vars(search))
+        assert set(state) == {"choices", "watchers", "full"}
+        for x, y in [(a, b), (b, a), (a, b)]:
+            expected = _PrunedSearch(_compile(space)).run(x, y, DEFAULT_MAX_COVERS)
+            assert search.run(x, y, DEFAULT_MAX_COVERS) == expected, seed
+            assert expected == is_connected(space, x, y, engine="pruned"), seed
+        with pytest.raises(BudgetExceededError, match="node budget of 0"):
+            search.run(a, b, 0)
+        assert search.run(a, b, DEFAULT_MAX_COVERS) == expected, seed
+        assert vars(search) == state, seed
+        assert search.choices is choices

@@ -155,3 +155,10 @@ def test_machine_enumeration_rejects_an_empty_instruction():
 def test_oracle_rejects_non_int_numbers(entries, stage_bound, message):
     with pytest.raises(ValidationError, match=f"^{message}$"):
         EnumerationOracle(entries, stage_bound)
+
+
+@pytest.mark.parametrize("query", [member_at, newly_at])
+@pytest.mark.parametrize("stage", [2.5, True, 1.0, "1"], ids=repr)
+def test_stage_queries_reject_non_int_stages(query, stage):
+    with pytest.raises(ValidationError, match=f"^stage {stage!r} is not an int in 0..3$"):
+        query(EnumerationOracle({3: 1}, 3), 3, stage)

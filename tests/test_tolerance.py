@@ -201,3 +201,20 @@ def test_refute_chain_rejects_non_int_chain_points():
 def test_refute_chain_rejects_an_empty_chain():
     with pytest.raises(ValidationError, match="chain must be non-empty"):
         refute_chain_in_induced(range(3), PI, [])
+
+
+@pytest.mark.parametrize("a, b", [(0, 1), (0, 2)], ids=["equal-labels", "different-labels"])
+@pytest.mark.parametrize(
+    "engine, budget, message",
+    [
+        ("brute", -1, "max_covers must be non-negative"),
+        ("nope", -1, "max_covers must be non-negative"),
+        ("brute", 2.5, "max_covers must be non-negative"),
+        ("pruned", True, "max_covers must be non-negative"),
+        ("brute", "5", "max_covers must be non-negative"),
+        ("nope", 5, "unknown engine 'nope'"),
+    ],
+)
+def test_check_nontol_checks_engine_and_budget_before_the_labels(a, b, engine, budget, message):
+    with pytest.raises(ValidationError, match=message):
+        check_nontol(s2(), PI, a, b, engine=engine, max_covers=budget)
