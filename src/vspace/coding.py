@@ -274,13 +274,17 @@ def decode_from_cover(space: FiniteVSpace, cover: Cover, a: int, b: int) -> dict
     decode as not enumerated.  The cover must witness that a and b are
     not connected.
     """
-    if not verify_witness(space, cover, a, b):
+    decoded = _read_back(space, cover, a, b)
+    if decoded is None:
         raise ValidationError("cover is not a witness: it admits a chain between the endpoints")
-    return _decode(chosen_vicinities(space, cover), a, b)
+    return decoded
 
 
-def _decode(chosen: dict[int, frozenset[int]], a: int, b: int) -> dict[int, bool]:
-    """The decode rule of ``decode_from_cover`` on a verified witness's chosen vicinities."""
+def _read_back(space: FiniteVSpace, cover: Cover, a: int, b: int) -> dict[int, bool] | None:
+    """``decode_from_cover``'s decode in ascending point order, or None if the cover admits an a-b chain."""
+    if not verify_witness(space, cover, a, b):
+        return None
+    chosen = chosen_vicinities(space, cover)
     # a sits in V_a as a base point, not as a code.
     stages = _least_stages(chosen[a] - {a})
     decoded: dict[int, bool] = {}
@@ -307,27 +311,16 @@ def verify_roundtrip(oracle: EnumerationOracle, config: CodedSpaceConfig) -> Rou
     """
     coded = build_coded_space(oracle, config)
     space, pi, cfg = coded.space, coded.pi, coded.config
-    labels_differ = pi[cfg.a] != pi[cfg.b]
     report = tolerance_report(space, pi)
-    tolerance_ok = not report.violations
-    witness: dict[int, int] | None = None
-    witness_ok = False
-    decoded: dict[int, bool] = {}
-    mismatches: list[tuple[int, bool, bool]] = []
-    if tolerance_ok:
-        witness = dict(sorted(report.tolerant_indices.items()))
-        witness_ok = verify_witness(space, witness, cfg.a, cfg.b)
-    if witness_ok:
-        assert witness is not None
-        decoded = _decode(chosen_vicinities(space, witness), cfg.a, cfg.b)
-        mismatches = oracle_mismatches(decoded, _bounded_entries(oracle, cfg))
-    agreement_ok = witness_ok and not mismatches
+    witness = None if report.violations else report.tolerant_indices
+    decoded = None if witness is None else _read_back(space, witness, cfg.a, cfg.b)
+    mismatches = () if decoded is None else tuple(oracle_mismatches(decoded, _bounded_entries(oracle, cfg)))
     return RoundtripReport(
-        labels_differ=labels_differ,
-        tolerance_ok=tolerance_ok,
-        witness_ok=witness_ok,
-        agreement_ok=agreement_ok,
-        decoded_in=tuple(x for x in sorted(decoded) if decoded[x]),
-        mismatches=tuple(mismatches),
+        labels_differ=pi[cfg.a] != pi[cfg.b],
+        tolerance_ok=witness is not None,
+        witness_ok=decoded is not None,
+        agreement_ok=decoded is not None and not mismatches,
+        decoded_in=() if decoded is None else tuple(x for x, flag in decoded.items() if flag),
+        mismatches=mismatches,
         witness=witness,
     )

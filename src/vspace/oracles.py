@@ -10,6 +10,7 @@ budget within which it halts).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Mapping, Sequence
 
 from .errors import ValidationError
@@ -18,7 +19,9 @@ from .errors import ValidationError
 #   ("INC", r)        increment register r, fall through
 #   ("DECJZ", r, l)   if register r is zero jump to l, else decrement and fall through
 #   ("HALT",)         stop
-# A program counter outside the program also stops the machine.
+# A program counter outside the program also stops the machine.  Programs
+# and instructions are tuples or lists, a register r is the int 0 or 1 and
+# a jump target l is any int.
 Instruction = tuple
 Program = Sequence[Instruction]
 
@@ -29,7 +32,11 @@ HALT = "HALT"
 
 @dataclass(frozen=True)
 class EnumerationOracle:
-    """Stage-indexed enumeration of a finite set of non-negative integers."""
+    """Stage-indexed enumeration of a finite set of non-negative integers.
+
+    ``entries`` is a read-only copy of the mapping given, so later changes
+    to the caller's mapping cannot reach the oracle.
+    """
 
     entries: Mapping[int, int]
     stage_bound: int
@@ -37,11 +44,18 @@ class EnumerationOracle:
     def __post_init__(self):
         if type(self.stage_bound) is not int or self.stage_bound < 0:
             raise ValidationError(f"stage bound must be non-negative and an int, got {self.stage_bound!r}")
+        if not isinstance(self.entries, Mapping):
+            raise ValidationError(f"entries must be a mapping, got {type(self.entries).__name__}")
+        object.__setattr__(self, "entries", MappingProxyType(dict(self.entries)))
         for x, s in self.entries.items():
             if type(x) is not int or x < 0:
                 raise ValidationError(f"enumerated value {x!r} must be non-negative and an int")
             if type(s) is not int or not 0 <= s <= self.stage_bound:
                 raise ValidationError(f"stage {s!r} of value {x} is not an int in 0..{self.stage_bound}")
+
+    def __reduce__(self):
+        # A mapping proxy cannot be pickled or deep-copied; rebuild from a dict.
+        return (type(self), (dict(self.entries), self.stage_bound))
 
 
 def _check_stage(oracle: EnumerationOracle, s: int) -> None:
@@ -63,16 +77,21 @@ def newly_at(oracle: EnumerationOracle, x: int, s: int) -> bool:
 
 
 def _check_program(index: int, program: Program) -> None:
+    if not isinstance(program, (tuple, list)):
+        raise ValidationError(f"program {index}: must be a tuple or list, got {type(program).__name__}")
     for pc, ins in enumerate(program):
+        if not isinstance(ins, (tuple, list)):
+            raise ValidationError(f"program {index}: bad instruction {ins!r} at {pc}")
         if not ins:
             raise ValidationError(f"program {index}: empty instruction at {pc}")
         op = ins[0]
+        register_ok = len(ins) > 1 and type(ins[1]) is int and ins[1] in (0, 1)
         if op == HALT:
             ok = len(ins) == 1
         elif op == INC:
-            ok = len(ins) == 2 and ins[1] in (0, 1)
+            ok = len(ins) == 2 and register_ok
         elif op == DECJZ:
-            ok = len(ins) == 3 and ins[1] in (0, 1) and isinstance(ins[2], int)
+            ok = len(ins) == 3 and register_ok and type(ins[2]) is int
         else:
             ok = False
         if not ok:

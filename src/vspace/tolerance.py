@@ -37,7 +37,8 @@ REFUTED = "refuted"
 class ToleranceReport:
     """Per-point tolerance: violators and least constant indices.
 
-    ``violations`` and ``tolerant_indices`` partition the point set.
+    ``violations`` and ``tolerant_indices`` partition the point set;
+    ``tolerant_indices`` lists its points in ascending order.
     """
 
     violations: frozenset[int]
@@ -108,7 +109,7 @@ def tolerant_cover(space: FiniteVSpace, pi: Labeling) -> dict[int, int]:
     if report.violations:
         bad = sorted(report.violations)
         raise ValidationError(f"no constant vicinity at points {bad}")
-    return dict(sorted(report.tolerant_indices.items()))
+    return report.tolerant_indices
 
 
 def check_nontol(

@@ -138,6 +138,8 @@ def test_config_rejects_endpoint_in_every_vicinity_of_a_point_labelled_apart(mon
     monkeypatch.setattr(coding, "validate_config", lambda oracle, config: [])
     report = verify_roundtrip(oracle, config)
     assert not report.tolerance_ok and not report.passed
+    assert report.witness is None and not report.witness_ok
+    assert report.decoded_in == () and report.mismatches == ()
 
 
 def test_config_keeps_an_endpoint_code_of_a_point_labelled_alike():
@@ -173,7 +175,14 @@ def test_every_accepted_config_passes_its_roundtrip():
     for oracle, config in _sweep_configs(2_000, seed=6):
         if not validate_config(oracle, config):
             accepted += 1
-            assert verify_roundtrip(oracle, config).passed, (oracle, config)
+            report = verify_roundtrip(oracle, config)
+            assert report.passed, (oracle, config)
+            coded = build_coded_space(oracle, config)
+            assert report.witness == tolerant_cover(coded.space, coded.pi)
+            decoded = decode_from_cover(coded.space, report.witness, config.a, config.b)
+            assert report.decoded_in == tuple(x for x in sorted(decoded) if decoded[x])
+            entries = {x: s for x, s in oracle.entries.items() if s <= config.stage_bound}
+            assert report.mismatches == tuple(coding.oracle_mismatches(decoded, entries))
     assert accepted >= 300
 
 

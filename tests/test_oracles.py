@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -13,6 +16,7 @@ from vspace import (
     newly_at,
     run_program,
 )
+from vspace.files import parse_oracle, serialize_oracle
 
 K1 = EnumerationOracle({3: 1}, 4)
 
@@ -162,3 +166,46 @@ def test_oracle_rejects_non_int_numbers(entries, stage_bound, message):
 def test_stage_queries_reject_non_int_stages(query, stage):
     with pytest.raises(ValidationError, match=f"^stage {stage!r} is not an int in 0..3$"):
         query(EnumerationOracle({3: 1}, 3), 3, stage)
+
+
+def test_oracle_keeps_a_read_only_copy_of_its_entries():
+    entries = {3: 1}
+    oracle = EnumerationOracle(entries, 3)
+    entries[7] = 99
+    assert oracle.entries == {3: 1}
+    assert parse_oracle(serialize_oracle(oracle)) == oracle
+    with pytest.raises(TypeError):
+        oracle.entries[7] = 2
+
+
+@pytest.mark.parametrize("clone", [lambda o: pickle.loads(pickle.dumps(o)), copy.copy, copy.deepcopy])
+def test_oracle_copies_are_equal(clone):
+    oracle = EnumerationOracle({3: 1, 0: 2}, 3)
+    twin = clone(oracle)
+    assert twin == oracle and twin.entries == {3: 1, 0: 2}
+
+
+@pytest.mark.parametrize("entries, kind", [([3], "list"), (None, "NoneType"), (5, "int")])
+def test_oracle_rejects_entries_that_are_not_a_mapping(entries, kind):
+    with pytest.raises(ValidationError, match=f"^entries must be a mapping, got {kind}$"):
+        EnumerationOracle(entries, 3)
+
+
+@pytest.mark.parametrize(
+    "programs, message",
+    [
+        ([5], "must be a tuple or list, got int"),
+        ([None], "must be a tuple or list, got NoneType"),
+        ([[5]], "bad instruction 5 at 0"),
+        ([[{INC: 0}]], "bad instruction {'INC': 0} at 0"),
+        ([((INC, 1.0),)], "bad instruction ('INC', 1.0) at 0"),
+        ([((DECJZ, 1.0, 0),)], "bad instruction ('DECJZ', 1.0, 0) at 0"),
+        ([((INC, True),)], "bad instruction ('INC', True) at 0"),
+        ([((DECJZ, 0, True),)], "bad instruction ('DECJZ', 0, True) at 0"),
+        ([((DECJZ, 0, 1.0),)], "bad instruction ('DECJZ', 0, 1.0) at 0"),
+    ],
+)
+def test_machine_enumeration_rejects_malformed_programs(programs, message):
+    with pytest.raises(ValidationError) as caught:
+        machine_enumeration(programs, 3)
+    assert str(caught.value) == f"program 0: {message}"
