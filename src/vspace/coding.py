@@ -291,8 +291,9 @@ def _read_back(space: FiniteVSpace, cover: Cover, a: int, b: int) -> dict[int, b
     for x in chosen:
         if x in (a, b):
             continue
-        own = _least_stages(chosen[x]).get(x)
-        decoded[x] = own is not None and x in stages and stages[x] <= own
+        # Only a point with a code in V_a can decode as enumerated.
+        own = _least_stages(chosen[x]).get(x) if x in stages else None
+        decoded[x] = own is not None and stages[x] <= own
     return decoded
 
 

@@ -5,12 +5,15 @@ A cover picks one vicinity per point.  Two points are connected when
 vicinities intersect.  A cover admitting no such chain is a witness that
 the points are not connected.
 
-Both engines read one compiled form: per point, a dict from each
-distinct vicinity set, as an int bitmask (bit m set iff m is a member),
-to its first original index.  Identical sets collapse (they induce
-identical overlap graphs); witnesses use the original indices.  Masks
-meet iff they share a bit; one shortest-path routine over masks,
-``_path``, serves chains and the brute cover checks.
+Under one given cover, ``_index`` maps each member to the points whose
+chosen set holds it, so ``chain_exists``, ``verify_witness`` and
+``overlap_graph`` take time linear in the size of the cover.  Both
+engines read one compiled form: per point, a dict from each distinct
+vicinity set, as an int bitmask (bit m set iff m is a member), to its
+first original index.  Identical sets collapse (they induce identical
+overlap graphs); witnesses use the original indices.  Masks meet iff
+they share a bit; ``_path`` scans them for brute's per-cover check,
+whose covers are too small to repay building an index.
 
 * ``brute`` enumerates covers in lexicographic order of (point id,
   vicinity index) and returns the first witness found, so its witness is
@@ -47,7 +50,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import BudgetExceededError, ValidationError
 from .spaces import WEAK, FiniteVSpace, VicinitySystem, _not_points, require_points, require_valid_space
@@ -98,7 +101,7 @@ def resolve_choice(system: VicinitySystem, index: int) -> frozenset[int]:
 def chosen_vicinities(space: FiniteVSpace, cover: Cover) -> dict[int, frozenset[int]]:
     """Each point's chosen vicinity set; validates the space, then the cover."""
     require_valid_space(space)
-    missing = sorted(p for p in space.points if p not in cover)
+    missing = [p for p in space.points if p not in cover]
     if missing:
         raise ValidationError(f"cover missing points {missing}")
     if stray := _not_points(cover, space.num_points):
@@ -108,9 +111,11 @@ def chosen_vicinities(space: FiniteVSpace, cover: Cover) -> dict[int, frozenset[
 
 def overlap_graph(space: FiniteVSpace, cover: Cover) -> dict[int, set[int]]:
     """Undirected graph with an edge wherever two chosen vicinities meet."""
-    chosen = chosen_vicinities(space, cover)
-    masks = [_mask(chosen[p]) for p in space.points]
-    return {x: {y for y, my in enumerate(masks) if mx & my and y != x} for x, mx in enumerate(masks)}
+    chosen = list(chosen_vicinities(space, cover).values())
+    groups, holders = _index(chosen)
+    # The points of a group share their neighbours.
+    meets = {key: {y for m in chosen[ps[0]] for held in holders[m] for y in held} for key, ps in groups.items()}
+    return {x: meets[id(vic)] - {x} for x, vic in enumerate(chosen)}
 
 
 def chain_exists(space: FiniteVSpace, cover: Cover, a: int, b: int) -> list[int] | None:
@@ -121,7 +126,7 @@ def chain_exists(space: FiniteVSpace, cover: Cover, a: int, b: int) -> list[int]
     """
     chosen = chosen_vicinities(space, cover)
     require_points(space, (a, b), "endpoints")
-    return _path([_mask(chosen[p]) for p in space.points], a, b)
+    return _chain(list(chosen.values()), a, b)
 
 
 def verify_witness(space: FiniteVSpace, cover: Cover, a: int, b: int) -> bool:
@@ -129,8 +134,59 @@ def verify_witness(space: FiniteVSpace, cover: Cover, a: int, b: int) -> bool:
     return chain_exists(space, cover, a, b) is None
 
 
-def _mask(vicinity: frozenset[int]) -> int:
-    return sum(1 << m for m in vicinity)
+def _index(chosen: Sequence[Iterable[int]]) -> tuple[dict[int, list[int]], list[list[list[int]]]]:
+    """By the id of each distinct chosen set, the points choosing it in
+    ascending order (a group); and for each member, the groups whose set
+    holds it.  An induced space shares one set per label class, so its
+    index is linear in n.  Members must be points.
+    """
+    groups: dict[int, list[int]] = {}
+    for p, vic in enumerate(chosen):
+        groups.setdefault(id(vic), []).append(p)
+    holders: list[list[list[int]]] = [[] for _ in chosen]
+    for group in groups.values():
+        for m in chosen[group[0]]:
+            holders[m].append(group)
+    return groups, holders
+
+
+def _chain(chosen: Sequence[Iterable[int]], a: int, b: int) -> list[int] | None:
+    """``_path``'s chain over the chosen sets, by the same visiting order.
+
+    Each member and each group is read once (the index is emptied as it
+    is read), and a point whose set was already expanded is skipped:
+    its neighbours have all been visited.
+    """
+    if a == b:
+        return [a]
+    _, holders = _index(chosen)
+    parent = [-1] * len(chosen)
+    parent[a] = a
+    expanded: set[int] = set()  # ids of the sets expanded
+    queue = [a]
+    for x in queue:  # grows while it is read: breadth-first order
+        vic = chosen[x]
+        if id(vic) in expanded:
+            continue
+        expanded.add(id(vic))
+        new = []
+        for m in vic:
+            for group in holders[m]:
+                new += group
+                group.clear()
+            holders[m].clear()
+        new.sort()
+        for y in new:
+            if parent[y] < 0:  # of the points in reached groups, only a is visited
+                parent[y] = x
+                queue.append(y)
+        if parent[b] >= 0:
+            path = [b]
+            while b != a:
+                b = parent[b]
+                path.append(b)
+            return path[::-1]
+    return None
 
 
 def _compile(space: FiniteVSpace) -> list[dict[int, int]]:
@@ -139,7 +195,7 @@ def _compile(space: FiniteVSpace) -> list[dict[int, int]]:
     for p in space.points:
         first: dict[int, int] = {}
         for i, vic in enumerate(space.systems[p].vicinities):
-            first.setdefault(_mask(vic), i)
+            first.setdefault(sum(1 << m for m in vic), i)
         out.append(first)
     return out
 

@@ -42,8 +42,7 @@ class EnumerationOracle:
     stage_bound: int
 
     def __post_init__(self):
-        if type(self.stage_bound) is not int or self.stage_bound < 0:
-            raise ValidationError(f"stage bound must be non-negative and an int, got {self.stage_bound!r}")
+        _check_stage_bound(self.stage_bound)
         if not isinstance(self.entries, Mapping):
             raise ValidationError(f"entries must be a mapping, got {type(self.entries).__name__}")
         object.__setattr__(self, "entries", MappingProxyType(dict(self.entries)))
@@ -56,6 +55,11 @@ class EnumerationOracle:
     def __reduce__(self):
         # A mapping proxy cannot be pickled or deep-copied; rebuild from a dict.
         return (type(self), (dict(self.entries), self.stage_bound))
+
+
+def _check_stage_bound(stage_bound: int) -> None:
+    if type(stage_bound) is not int or stage_bound < 0:
+        raise ValidationError(f"stage bound must be non-negative and an int, got {stage_bound!r}")
 
 
 def _check_stage(oracle: EnumerationOracle, s: int) -> None:
@@ -133,6 +137,9 @@ def machine_enumeration(programs: Sequence[Program], stage_bound: int) -> Enumer
 
     Programs that do not halt within stage_bound steps get no entry.
     """
+    if not isinstance(programs, (tuple, list)):
+        raise ValidationError(f"programs must be a tuple or list, got {type(programs).__name__}")
+    _check_stage_bound(stage_bound)
     for i, program in enumerate(programs):
         _check_program(i, program)
     entries = {}

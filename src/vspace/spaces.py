@@ -15,8 +15,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property
+from itertools import chain
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
+from typing import Collection, Iterable, Mapping, Sequence
 
 from .errors import ValidationError
 
@@ -136,6 +137,11 @@ def validate_space(space: FiniteVSpace) -> list[Violation]:
         if p not in space.systems:
             out.append(Violation("missing-system", p, "point has no vicinity system"))
     stray = _not_points(space.systems, space.num_points)
+    # Read each distinct vicinity object once (an induced space shares one
+    # per label class), and range-check members per vicinity only if one
+    # strays, so the violations and their order stay the same.
+    vicinities = {id(v): v for key, system in space.systems.items() if key not in stray for v in system.vicinities}
+    num_points = space.num_points if _members_stray(vicinities.values(), space.num_points) else None
     for key in sorted(space.systems, key=_point_order):
         if key in stray:
             out.append(Violation("unknown-point", key, f"system keyed by point outside 0..{space.num_points - 1}"))
@@ -143,8 +149,18 @@ def validate_space(space: FiniteVSpace) -> list[Violation]:
         system = space.systems[key]
         if system.owner != key:
             out.append(Violation("owner-mismatch", key, f"system owner is {system.owner}"))
-        out.extend(validate_system(system, space.num_points, space.mode))
+        out.extend(validate_system(system, num_points, space.mode))
     return out
+
+
+def _members_stray(vicinities: Collection[Iterable], num_points: int) -> bool:
+    """Whether a member of the vicinities is not a point.  Types are read
+    before any member is hashed, so an unhashable member or a bool that
+    equals a point is still a stray."""
+    if not set(map(type, chain.from_iterable(vicinities))) <= {int}:
+        return True
+    members = set().union(*vicinities)
+    return bool(members) and (min(members) < 0 or max(members) >= num_points)
 
 
 def require_valid_space(space: FiniteVSpace) -> None:

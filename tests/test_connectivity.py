@@ -1,5 +1,6 @@
 import copy
 import random
+import time
 from pathlib import Path
 
 import pytest
@@ -10,6 +11,7 @@ from vspace import (
     STRONG,
     WEAK,
     BudgetExceededError,
+    FiniteVSpace,
     ValidationError,
     VicinitySystem,
     chain_exists,
@@ -19,7 +21,7 @@ from vspace import (
     overlap_graph,
     verify_witness,
 )
-from vspace.connectivity import DEFAULT_MAX_COVERS, _compile, _PrunedSearch, resolve_choice
+from vspace.connectivity import DEFAULT_MAX_COVERS, _chain, _compile, _path, _PrunedSearch, resolve_choice
 from vspace.files import parse_space
 
 from _helpers import brute_force_connected, cover_count, first_witness, random_space
@@ -404,3 +406,72 @@ def test_compiled_search_answers_several_queries_unchanged():
         assert search.run(a, b, DEFAULT_MAX_COVERS) == expected, seed
         assert vars(search) == state, seed
         assert search.choices is choices
+
+
+def random_chosen_sets(rng):
+    """Chosen sets of a random cover, as the objects a space would hold.
+
+    A group of points may share one set object, a point inside another
+    point's set may hold an equal but distinct copy of it, and some sets
+    are lists, possibly with repeated members.
+    """
+    n = rng.randint(1, 12)
+    chosen = [None] * n
+    for _ in range(rng.randint(0, 2)):
+        group = [p for p in range(n) if rng.random() < 0.3 and chosen[p] is None]
+        shared = frozenset(group + [q for q in range(n) if rng.random() < 0.15])
+        for p in group:
+            chosen[p] = shared
+    for p in range(n):
+        if chosen[p] is not None:
+            continue
+        earlier = [v for v in chosen[:p] if v is not None and p in v]
+        if earlier and rng.random() < 0.3:
+            chosen[p] = frozenset(list(rng.choice(earlier)))
+        else:
+            members = [p] + [q for q in range(n) if rng.random() < 0.2]
+            chosen[p] = members if rng.random() < 0.2 else frozenset(members)
+    return chosen
+
+
+def test_set_chains_match_the_mask_scan():
+    # _chain must return _path's chain, and overlap_graph the mask scan's
+    # graph, whether points share set objects, hold equal copies or lists.
+    shared = copies = 0
+    for seed in range(3_000):
+        rng = random.Random(770_000 + seed)
+        chosen = random_chosen_sets(rng)
+        n = len(chosen)
+        shared += len({id(v) for v in chosen}) < n
+        copies += len({id(v) for v in chosen}) > len({frozenset(v) for v in chosen})
+        masks = [sum(1 << m for m in set(v)) for v in chosen]
+        space = FiniteVSpace(n, {p: VicinitySystem(p, (v,), WEAK) for p, v in enumerate(chosen)}, WEAK)
+        cover = {p: 0 for p in range(n)}
+        for a in range(n):
+            b = rng.randrange(n)
+            expected = _path(masks, a, b)
+            assert _chain(chosen, a, b) == expected, seed
+            assert chain_exists(space, cover, a, b) == expected, seed
+        graph = {x: {y for y, my in enumerate(masks) if mx & my and y != x} for x, mx in enumerate(masks)}
+        assert overlap_graph(space, cover) == graph, seed
+    assert shared > 500 and copies > 500
+
+
+def chain_space(n):
+    """Point p has options {p, p+1} and {p}; the last point only {p}."""
+    return make_space({p: [{p, p + 1}, {p}] if p + 1 < n else [{p}] for p in range(n)})
+
+
+def test_a_10000_point_witness_checks_in_linear_time():
+    # A scan of all point pairs makes 10**8 mask tests here; the cap is generous.
+    n = 10_000
+    space = chain_space(n)
+    verdict = is_connected(space, 0, n - 1, engine="pruned")
+    assert not verdict.connected
+    start = time.perf_counter()
+    assert verify_witness(space, verdict.witness, 0, n - 1)
+    assert chain_exists(space, {p: 0 for p in range(n)}, 0, n - 1) == list(range(n))
+    # Every point but the last holds 0: that member is expanded once.
+    star = make_space({p: [{0, p}] if p < n - 1 else [{p}] for p in range(n)})
+    assert verify_witness(star, {p: 0 for p in range(n)}, 1, n - 1)
+    assert time.perf_counter() - start < 5

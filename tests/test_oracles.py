@@ -209,3 +209,17 @@ def test_machine_enumeration_rejects_malformed_programs(programs, message):
     with pytest.raises(ValidationError) as caught:
         machine_enumeration(programs, 3)
     assert str(caught.value) == f"program 0: {message}"
+
+
+@pytest.mark.parametrize(
+    "programs, kind", [(None, "NoneType"), (5, "int"), ("ab", "str"), (iter([((HALT,),)]), "list_iterator")]
+)
+def test_machine_enumeration_rejects_programs_that_are_not_a_tuple_or_list(programs, kind):
+    with pytest.raises(ValidationError, match=f"^programs must be a tuple or list, got {kind}$"):
+        machine_enumeration(programs, 3)
+
+
+@pytest.mark.parametrize("bound", [None, -1, 2.5, True], ids=repr)
+def test_machine_enumeration_checks_the_stage_bound_before_running(bound):
+    with pytest.raises(ValidationError, match="stage bound must be non-negative and an int"):
+        machine_enumeration([((HALT,),)], bound)

@@ -22,6 +22,7 @@ from vspace import (
     strong_from_weak,
     tolerance_report,
     validate_space,
+    validate_system,
     verify_witness,
     weak_from_strong,
 )
@@ -243,6 +244,12 @@ def _system(owner, *vicinities, mode=STRONG):
     return VicinitySystem(owner, tuple(frozenset(v) for v in vicinities), mode)
 
 
+def _shared_stray_space():
+    """Points 0, 1 and 2 hold one vicinity object with the stray member 5."""
+    shared = frozenset({0, 1, 2, 5})
+    return FiniteVSpace(3, {p: VicinitySystem(p, (frozenset({p}), shared)) for p in range(3)})
+
+
 MALFORMED_SPACES = {
     "space-mode": (lambda: FiniteVSpace(1, {0: _system(0, {0})}, "odd"), "bad-mode", None, "unknown mode 'odd'"),
     "system-mode": (lambda: FiniteVSpace(1, {0: _system(0, {0}, mode="odd")}), "bad-mode", 0, "unknown mode 'odd'"),
@@ -263,6 +270,11 @@ MALFORMED_SPACES = {
         lambda: FiniteVSpace(2, {0: _system(1, {0, 1}), 1: _system(1, {1})}),
         "owner-mismatch", 0, "system owner is 1",
     ),
+    "shared-stray": (_shared_stray_space, "member-out-of-range", 2, "vicinity 1 members [5] outside 0..2"),
+    "weak-list-member": (
+        lambda: FiniteVSpace(2, {0: VicinitySystem(0, ([0, [1]],), WEAK), 1: _system(1, {1}, mode=WEAK)}, WEAK),
+        "member-out-of-range", 0, "vicinity 0 members [[1]] outside 0..1",
+    ),
 }
 
 
@@ -272,6 +284,29 @@ def test_malformed_spaces_are_reported(case):
     assert any(
         v.kind == kind and v.point == point and detail in v.detail for v in validate_space(build())
     )
+
+
+def test_a_shared_stray_vicinity_is_reported_at_each_point():
+    assert [(v.kind, v.point, v.detail) for v in validate_space(_shared_stray_space())] == [
+        ("member-out-of-range", p, "vicinity 1 members [5] outside 0..2") for p in range(3)
+    ]
+
+
+def test_validate_space_matches_validate_system_in_key_order():
+    # Members are range-checked once per vicinity object; the violations
+    # must still be those of validate_system on each system, in order.
+    for seed in range(500):
+        rng = random.Random(31_000 + seed)
+        n = rng.randint(1, 6)
+        mode = rng.choice([STRONG, WEAK])
+        pool = [frozenset(rng.sample(range(n + 2), rng.randint(0, 3))) for _ in range(4)]
+        systems = {
+            p: VicinitySystem(p, tuple(rng.choice(pool) for _ in range(rng.randint(0, 3))), mode)
+            for p in range(n)
+        }
+        space = FiniteVSpace(n, systems, mode)
+        expected = [v for p in range(n) for v in validate_system(systems[p], n, mode)]
+        assert validate_space(space) == expected, seed
 
 
 def test_is_connected_reports_non_int_system_keys():

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -112,6 +113,17 @@ def test_check_nonconn_example():
 def test_check_nonconn_injective_labeling():
     pi = {p: f"L{p}" for p in range(6)}
     assert check_nonconn(range(6), pi, 0, 5).status == HOLDS
+
+
+def test_check_nonconn_on_20000_alternating_labels_is_fast():
+    # Each point's vicinity is its whole label class, so a scan of all
+    # point pairs does 2 * 10**8 mask tests; the cap is generous.
+    n = 20_000
+    pi = {p: "AB"[p % 2] for p in range(n)}
+    start = time.perf_counter()
+    outcome = check_nonconn(range(n), pi, 0, 1)
+    assert time.perf_counter() - start < 5
+    assert outcome.status == HOLDS and outcome.witness == {p: 0 for p in range(n)}
 
 
 def test_check_nonconn_rejects_equal_labels():
