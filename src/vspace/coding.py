@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from math import isqrt
 from typing import Iterable, Mapping
 
-from .connectivity import Cover, chosen_vicinities, verify_witness
+from .connectivity import Cover, resolve_choice, verify_witness
 from .errors import CodingConfigError, ValidationError
 from .oracles import EnumerationOracle
 from .spaces import STRONG, FiniteVSpace, VicinitySystem
@@ -284,16 +284,14 @@ def _read_back(space: FiniteVSpace, cover: Cover, a: int, b: int) -> dict[int, b
     """``decode_from_cover``'s decode in ascending point order, or None if the cover admits an a-b chain."""
     if not verify_witness(space, cover, a, b):
         return None
-    chosen = chosen_vicinities(space, cover)
     # a sits in V_a as a base point, not as a code.
-    stages = _least_stages(chosen[a] - {a})
-    decoded: dict[int, bool] = {}
-    for x in chosen:
-        if x in (a, b):
-            continue
-        # Only a point with a code in V_a can decode as enumerated.
-        own = _least_stages(chosen[x]).get(x) if x in stages else None
-        decoded[x] = own is not None and stages[x] <= own
+    stages = _least_stages(resolve_choice(space.systems[a], cover[a]) - {a})
+    decoded = {x: False for x in space.points if x != a and x != b}
+    # Only a point with a code in V_a can decode as enumerated.
+    for x, s in stages.items():
+        if x in decoded:
+            own = _least_stages(resolve_choice(space.systems[x], cover[x])).get(x)
+            decoded[x] = own is not None and s <= own
     return decoded
 
 

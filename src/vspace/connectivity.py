@@ -195,7 +195,10 @@ def _compile(space: FiniteVSpace) -> list[dict[int, int]]:
     for p in space.points:
         first: dict[int, int] = {}
         for i, vic in enumerate(space.systems[p].vicinities):
-            first.setdefault(sum(1 << m for m in vic), i)
+            mask = 0
+            for m in vic:
+                mask |= 1 << m
+            first.setdefault(mask, i)
         out.append(first)
     return out
 
@@ -242,14 +245,6 @@ def _brute(choices: list[dict[int, int]], a: int, b: int, max_covers: int) -> Co
     return ConnectivityVerdict(True)
 
 
-def _bits(mask: int):
-    """The members of a mask, in ascending order."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 class _PrunedSearch:
     """Depth-first search for sides A containing a and B containing b
     that leave every point an option inside its own side.  ``run`` holds
@@ -261,13 +256,15 @@ class _PrunedSearch:
         self.choices = choices
         # watchers[m]: the points with an option that contains m, the only
         # points whose forcing rule can change when m is decided.
-        self.watchers = [0] * len(choices)
+        watchers = self.watchers = [0] * len(choices)
         for x, options in enumerate(choices):
             union = 0
             for mask in options:
                 union |= mask
-            for m in _bits(union):
-                self.watchers[m] |= 1 << x
+            while union:  # each set bit, lowest first, as in every loop below
+                low = union & -union
+                union ^= low
+                watchers[low.bit_length() - 1] |= 1 << x
         self.full = (1 << len(choices)) - 1
 
     def run(self, a: int, b: int, max_nodes: int) -> ConnectivityVerdict:
@@ -284,11 +281,17 @@ class _PrunedSearch:
         if sides is None:
             return None
         side_a, side_b = sides
+        choices = self.choices
         grown = frontier = side_a
         while frontier:
             added = 0
-            for x in _bits(frontier):
-                added |= next(m for m in self.choices[x] if not m & side_b)
+            while frontier:
+                low = frontier & -frontier
+                frontier ^= low
+                for m in choices[low.bit_length() - 1]:
+                    if not m & side_b:
+                        added |= m
+                        break
             frontier = added & ~grown
             grown |= frontier
         for split in (grown, side_a, side_b):
@@ -314,20 +317,21 @@ class _PrunedSearch:
                 return None
         return witness
 
-    def _watched(self, mask: int) -> int:
-        out = 0
-        for m in _bits(mask):
-            out |= self.watchers[m]
-        return out
-
     def _close(self, side_a: int, side_b: int, new: int) -> tuple[int, int] | None:
         """Close the sides under the forcing rule; None on a conflict."""
+        choices, watchers = self.choices, self.watchers
         while new:
-            todo, new = new | self._watched(new), 0
-            for x in _bits(todo):
+            todo = new  # and their watchers; new ends at 0, ready for the points forced below
+            while new:
+                low = new & -new
+                new ^= low
+                todo |= watchers[low.bit_length() - 1]
+            while todo:
+                low = todo & -todo
+                todo ^= low
                 # fit_a, fit_b: the common part of the options avoiding B, A; -1 if none.
                 fit_a = fit_b = -1
-                for m in self.choices[x]:
+                for m in choices[low.bit_length() - 1]:
                     if not m & side_b:
                         fit_a &= m
                     if not m & side_a:

@@ -80,14 +80,14 @@ def newly_at(oracle: EnumerationOracle, x: int, s: int) -> bool:
     return oracle.entries.get(x) == s
 
 
-def _check_program(index: int, program: Program) -> None:
+def _check_program(name: str, program: Program) -> None:
     if not isinstance(program, (tuple, list)):
-        raise ValidationError(f"program {index}: must be a tuple or list, got {type(program).__name__}")
+        raise ValidationError(f"{name}: must be a tuple or list, got {type(program).__name__}")
     for pc, ins in enumerate(program):
         if not isinstance(ins, (tuple, list)):
-            raise ValidationError(f"program {index}: bad instruction {ins!r} at {pc}")
+            raise ValidationError(f"{name}: bad instruction {ins!r} at {pc}")
         if not ins:
-            raise ValidationError(f"program {index}: empty instruction at {pc}")
+            raise ValidationError(f"{name}: empty instruction at {pc}")
         op = ins[0]
         register_ok = len(ins) > 1 and type(ins[1]) is int and ins[1] in (0, 1)
         if op == HALT:
@@ -99,7 +99,7 @@ def _check_program(index: int, program: Program) -> None:
         else:
             ok = False
         if not ok:
-            raise ValidationError(f"program {index}: bad instruction {ins!r} at {pc}")
+            raise ValidationError(f"{name}: bad instruction {ins!r} at {pc}")
 
 
 def run_program(program: Program, max_steps: int) -> int | None:
@@ -108,6 +108,12 @@ def run_program(program: Program, max_steps: int) -> int | None:
     Every executed instruction counts as one step, including HALT, so a
     bare HALT program halts in one step and the empty program in zero.
     """
+    _check_stage_bound(max_steps)
+    _check_program("program", program)
+    return _run(program, max_steps)
+
+
+def _run(program: Program, max_steps: int) -> int | None:
     pc = 0
     regs = [0, 0]
     steps = 0
@@ -141,10 +147,10 @@ def machine_enumeration(programs: Sequence[Program], stage_bound: int) -> Enumer
         raise ValidationError(f"programs must be a tuple or list, got {type(programs).__name__}")
     _check_stage_bound(stage_bound)
     for i, program in enumerate(programs):
-        _check_program(i, program)
+        _check_program(f"program {i}", program)
     entries = {}
     for x, program in enumerate(programs):
-        steps = run_program(program, stage_bound)
+        steps = _run(program, stage_bound)
         if steps is not None:
             entries[x] = steps
     return EnumerationOracle(entries, stage_bound)

@@ -262,6 +262,23 @@ def test_pruned_engine_decides_forty_point_spaces_within_a_thousand_nodes(seed, 
     assert connected or verify_witness(space, verdict.witness, a, b)
 
 
+def test_pruned_engine_node_count_on_a_forty_point_family_is_pinned(monkeypatch):
+    # 20 seeds from one generator; the total pins the search order, which
+    # a faster loop must keep.  In the verdicts, 1 is connected.
+    nodes = []
+    search = _PrunedSearch.search
+    monkeypatch.setattr(_PrunedSearch, "search", lambda self, stack: nodes.append(1) or search(self, stack))
+    rng = random.Random(5)
+    verdicts = ""
+    for _ in range(20):
+        space, a, b = dense_space(rng.randrange(2**31), 40, 0.07)
+        verdict = is_connected(space, a, b, engine="pruned", max_covers=1000)
+        assert verdict.connected or verify_witness(space, verdict.witness, a, b)
+        verdicts += str(int(verdict.connected))
+    assert verdicts == "00100111110010010010"
+    assert len(nodes) == 1316
+
+
 def test_pruned_engine_decides_a_long_chain_without_recursion():
     # Point p may reach p + 1, so a search that recursed once per decided
     # point would pass Python's recursion limit long before the end.
@@ -406,6 +423,22 @@ def test_compiled_search_answers_several_queries_unchanged():
         assert search.run(a, b, DEFAULT_MAX_COVERS) == expected, seed
         assert vars(search) == state, seed
         assert search.choices is choices
+
+
+def test_compile_keeps_the_first_index_of_each_distinct_vicinity():
+    assert _compile(make_space({0: [{0}, {0, 1}, {0}], 1: [{1}, {1}]}, mode=WEAK)) == [{1: 0, 3: 1}, {2: 0}]
+    repeated = 0
+    for seed in range(300):
+        space = random_space(random.Random(95_000 + seed), max_points=9, max_vics=4)
+        reference = []
+        for p in space.points:
+            first = {}
+            for i, vic in enumerate(space.systems[p].vicinities):
+                first.setdefault(sum(1 << m for m in vic), i)
+            repeated += len(space.systems[p].vicinities) - len(first)
+            reference.append(first)
+        assert [list(d.items()) for d in _compile(space)] == [list(d.items()) for d in reference], seed
+    assert repeated > 0
 
 
 def random_chosen_sets(rng):

@@ -16,6 +16,7 @@ from vspace import (
     newly_at,
     run_program,
 )
+from vspace import oracles
 from vspace.files import parse_oracle, serialize_oracle
 
 K1 = EnumerationOracle({3: 1}, 4)
@@ -223,3 +224,36 @@ def test_machine_enumeration_rejects_programs_that_are_not_a_tuple_or_list(progr
 def test_machine_enumeration_checks_the_stage_bound_before_running(bound):
     with pytest.raises(ValidationError, match="stage bound must be non-negative and an int"):
         machine_enumeration([((HALT,),)], bound)
+
+
+@pytest.mark.parametrize(
+    "program, max_steps, message",
+    [
+        (((HALT,),), None, "stage bound must be non-negative and an int, got None"),
+        (((HALT,),), 2.5, "stage bound must be non-negative and an int, got 2.5"),
+        (((HALT,),), -1, "stage bound must be non-negative and an int, got -1"),
+        ((("NOP",),), 3, r"program: bad instruction \('NOP',\) at 0"),
+        (5, 3, "program: must be a tuple or list, got int"),
+    ],
+    ids=["none-budget", "float-budget", "negative-budget", "unknown-op", "int-program"],
+)
+def test_run_program_rejects_bad_input(program, max_steps, message):
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        run_program(program, max_steps)
+
+
+def test_machine_enumeration_checks_each_program_once_before_running_any(monkeypatch):
+    checked, ran = [], []
+    check, run = oracles._check_program, oracles._run
+    monkeypatch.setattr(oracles, "_check_program", lambda *args: checked.append(args[0]) or check(*args))
+    monkeypatch.setattr(oracles, "_run", lambda *args: ran.append(args) or run(*args))
+    programs = [((HALT,),), LOOP, ((INC, 0), (HALT,))]
+    assert machine_enumeration(programs, 4) == EnumerationOracle({0: 1, 2: 2}, 4)
+    assert checked == ["program 0", "program 1", "program 2"]
+    assert len(ran) == 3
+    checked.clear()
+    ran.clear()
+    with pytest.raises(ValidationError, match="^program 2: bad instruction"):
+        machine_enumeration([*programs[:2], (("NOP",),)], 4)
+    assert checked == ["program 0", "program 1", "program 2"]
+    assert ran == []
