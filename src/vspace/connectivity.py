@@ -12,8 +12,9 @@ engines read one compiled form: per point, a dict from each distinct
 vicinity set, as an int bitmask (bit m set iff m is a member), to its
 first original index.  Identical sets collapse (they induce identical
 overlap graphs); witnesses use the original indices.  Masks meet iff
-they share a bit; ``_path`` scans them for brute's per-cover check,
-whose covers are too small to repay building an index.
+they share a bit; brute checks each cover by closing a's mask under
+the masks that meet it, as its covers are too small to repay building
+an index.
 
 * ``brute`` enumerates covers in lexicographic order of (point id,
   vicinity index) and returns the first witness found, so its witness is
@@ -151,7 +152,9 @@ def _index(chosen: Sequence[Iterable[int]]) -> tuple[dict[int, list[int]], list[
 
 
 def _chain(chosen: Sequence[Iterable[int]], a: int, b: int) -> list[int] | None:
-    """``_path``'s chain over the chosen sets, by the same visiting order.
+    """Shortest chain from a to b over the chosen sets, or None.  Two
+    points are joined when their sets meet, and neighbours are visited
+    in ascending order, so ties are broken the same way every time.
 
     Each member and each group is read once (the index is emptied as it
     is read), and a point whose set was already expanded is skipped:
@@ -203,34 +206,19 @@ def _compile(space: FiniteVSpace) -> list[dict[int, int]]:
     return out
 
 
-def _path(masks: Sequence[int], a: int, b: int) -> list[int] | None:
-    """Shortest path from a to b, or None.
-
-    x and y are joined when their masks meet.  Neighbours are visited in
-    ascending order, so ties are broken the same way every time.
-    """
-    if a == b:
-        return [a]
-    parent = [-1] * len(masks)
-    parent[a] = a
-    queue = [a]
-    for x in queue:  # grows while it is read: breadth-first order
-        mx = masks[x]
-        for y, my in enumerate(masks):
-            if mx & my and parent[y] < 0:
-                parent[y] = x
-                if y == b:
-                    path = [b]
-                    while y != a:
-                        y = parent[y]
-                        path.append(y)
-                    return path[::-1]
-                queue.append(y)
-    return None
-
-
 def _sets_reachable(masks: Sequence[int], a: int, b: int) -> bool:
-    return _path(masks, a, b) is not None
+    """Whether b's mask meets the closure of a's (a != b): each pass ORs
+    in every mask that meets it, until b's mask does or a pass adds nothing.
+    The closure is the union of the masks of a's component."""
+    reach, target = masks[a], masks[b]
+    while not target & reach:
+        before = reach
+        for m in masks:
+            if m & reach:
+                reach |= m
+        if reach == before:
+            return False
+    return True
 
 
 def _brute(choices: list[dict[int, int]], a: int, b: int, max_covers: int) -> ConnectivityVerdict:

@@ -192,9 +192,9 @@ def _require_valid_system(system: VicinitySystem) -> None:
 
 
 def require_total_labeling(pi: Labeling, points: Iterable[int]) -> None:
-    missing = sorted(p for p in points if p not in pi)
+    missing = [p for p in points if p not in pi]
     if missing:
-        raise ValidationError(f"labeling undefined on points {missing}")
+        raise ValidationError(f"labeling undefined on points {sorted(missing)}")
     for p, token in pi.items():
         if not isinstance(token, str) or not token:
             raise ValidationError(f"label of point {p} must be a non-empty string")

@@ -83,15 +83,21 @@ def tolerance_report(space: FiniteVSpace, pi: Labeling) -> ToleranceReport:
     """Classify every point as tolerant (with its least constant index) or not.
 
     Weak padding never produces a new constant index: indices past the
-    end denote vicinity 0, which is examined first anyway.
+    end denote vicinity 0, which is examined first anyway.  A valid
+    vicinity holds its owner, so it is constant iff every member carries
+    the owner's label.
     """
     require_valid_space(space)
     require_total_labeling(pi, space.points)
     violations = set()
     indices: dict[int, int] = {}
     for p in space.points:
+        label = pi[p]
         for i, vic in enumerate(space.systems[p].vicinities):
-            if constant_on(pi, vic):
+            for y in vic:
+                if pi[y] != label:
+                    break
+            else:
                 indices[p] = i
                 break
         else:

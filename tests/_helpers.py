@@ -25,6 +25,30 @@ def _reaches(sets, a: int, b: int) -> bool:
     return b in seen
 
 
+def _path(masks, a: int, b: int) -> list[int] | None:
+    """Reference breadth-first search: the shortest path from a to b, or
+    None.  x and y are joined when their masks meet, and neighbours are
+    visited in ascending order, so ties are broken the same way every time."""
+    if a == b:
+        return [a]
+    parent = [-1] * len(masks)
+    parent[a] = a
+    queue = [a]
+    for x in queue:  # grows while it is read: breadth-first order
+        mx = masks[x]
+        for y, my in enumerate(masks):
+            if mx & my and parent[y] < 0:
+                parent[y] = x
+                if y == b:
+                    path = [b]
+                    while y != a:
+                        y = parent[y]
+                        path.append(y)
+                    return path[::-1]
+                queue.append(y)
+    return None
+
+
 def brute_force_connected(space: FiniteVSpace, a: int, b: int) -> bool:
     """Enumerate every cover over the raw (non-deduplicated) systems and
     check reachability with a local DFS."""
@@ -61,6 +85,18 @@ def double_loop_tolerant(space: FiniteVSpace, pi) -> set[int]:
         if not ok:
             bad.add(p)
     return bad
+
+
+def least_constant_indices(space: FiniteVSpace, pi) -> dict[int, int]:
+    """Each point's least index whose vicinity carries at most one label,
+    for the points that have one."""
+    out = {}
+    for p in space.points:
+        for i, vic in enumerate(space.systems[p].vicinities):
+            if len({pi[y] for y in vic}) <= 1:
+                out[p] = i
+                break
+    return out
 
 
 def random_space(rng: random.Random, max_points: int = 6, max_vics: int = 3) -> FiniteVSpace:

@@ -21,10 +21,10 @@ from vspace import (
     overlap_graph,
     verify_witness,
 )
-from vspace.connectivity import DEFAULT_MAX_COVERS, _chain, _compile, _path, _PrunedSearch, resolve_choice
+from vspace.connectivity import DEFAULT_MAX_COVERS, _chain, _compile, _PrunedSearch, _sets_reachable, resolve_choice
 from vspace.files import parse_space
 
-from _helpers import brute_force_connected, cover_count, first_witness, random_space
+from _helpers import _path, _reaches, brute_force_connected, cover_count, first_witness, random_space
 
 C1 = {0: 0, 1: 0, 2: 0}
 C2 = {0: 0, 1: 1, 2: 0}
@@ -488,6 +488,22 @@ def test_set_chains_match_the_mask_scan():
         graph = {x: {y for y, my in enumerate(masks) if mx & my and y != x} for x, mx in enumerate(masks)}
         assert overlap_graph(space, cover) == graph, seed
     assert shared > 500 and copies > 500
+
+
+def test_mask_closure_matches_the_reference_search():
+    # brute's per-cover check against a DFS over the overlap graph, on
+    # masks that need not hold their owner and may be empty.
+    reached = 0
+    for seed in range(20_000):
+        rng = random.Random(880_000 + seed)
+        width, n = rng.randint(1, 10), rng.randint(2, 10)
+        density = rng.uniform(0.05, 0.5)
+        masks = [sum(1 << m for m in range(width) if rng.random() < density) for _ in range(n)]
+        a, b = rng.sample(range(n), 2)
+        expected = _reaches(masks, a, b)
+        assert _sets_reachable(masks, a, b) == expected, seed
+        reached += expected
+    assert 5_000 < reached < 15_000
 
 
 def chain_space(n):

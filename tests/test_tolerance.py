@@ -6,6 +6,8 @@ import pytest
 from vspace import (
     HOLDS,
     NOT_APPLICABLE,
+    STRONG,
+    WEAK,
     ValidationError,
     check_nonconn,
     check_nontol,
@@ -17,7 +19,7 @@ from vspace import (
     verify_witness,
 )
 
-from _helpers import double_loop_tolerant, random_labeling, random_space
+from _helpers import double_loop_tolerant, least_constant_indices, random_labeling, random_space
 
 PI = {0: "A", 1: "A", 2: "B"}
 
@@ -171,6 +173,34 @@ def test_tolerance_report_matches_double_loop():
         pi = random_labeling(rng, space.num_points)
         report = tolerance_report(space, pi)
         assert set(report.violations) == double_loop_tolerant(space, pi)
+
+
+def test_tolerant_indices_are_the_least_constant_indices():
+    rng = random.Random(17)
+    modes = {WEAK: 0, STRONG: 0}
+    for _ in range(1_200):
+        space = random_space(rng)
+        pi = random_labeling(rng, space.num_points)
+        report = tolerance_report(space, pi)
+        expected = least_constant_indices(space, pi)
+        assert report.tolerant_indices == expected
+        assert report.violations == frozenset(space.points) - expected.keys()
+        modes[space.mode] += 1
+    assert min(modes.values()) > 200
+
+
+@pytest.mark.parametrize(
+    "pi, message",
+    [
+        ({1: "A"}, r"labeling undefined on points \[0, 2\]"),
+        ({0: "A", 1: 1, 2: "B"}, "label of point 1 must be a non-empty string"),
+        ({0: "A", 1: "", 2: "B"}, "label of point 1 must be a non-empty string"),
+    ],
+    ids=["missing", "non-str", "empty"],
+)
+def test_tolerance_report_rejects_a_partial_or_non_str_labeling(pi, message):
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        tolerance_report(s2(), pi)
 
 
 def test_tolerant_cover_witnesses_nonconnectedness():
