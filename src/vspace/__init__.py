@@ -1,125 +1,42 @@
-"""Finite vicinity spaces: connectedness, tolerant labelings, and coding."""
+"""Finite vicinity spaces: connectedness, tolerant labelings, and coding.
 
-from .coding import (
-    CodedSpace,
-    CodedSpaceConfig,
-    RoundtripReport,
-    build_coded_space,
-    build_pi,
-    decode_from_cover,
-    pair,
-    unpair,
-    validate_config,
-    verify_roundtrip,
-)
-from .connectivity import (
-    DEFAULT_MAX_COVERS,
-    ConnectivityVerdict,
-    chain_exists,
-    is_connected,
-    overlap_graph,
-    verify_witness,
-)
-from .errors import (
-    BudgetExceededError,
-    CodingConfigError,
-    ParseError,
-    ValidationError,
-    VSpaceError,
-)
-from .oracles import (
-    DECJZ,
-    HALT,
-    INC,
-    EnumerationOracle,
-    machine_enumeration,
-    member_at,
-    newly_at,
-    run_program,
-)
-from .spaces import (
-    STRONG,
-    WEAK,
-    FiniteVSpace,
-    Labeling,
-    VicinitySystem,
-    Violation,
-    induced_space,
-    make_space,
-    strong_from_weak,
-    validate_space,
-    validate_system,
-    weak_from_strong,
-)
-from .tolerance import (
-    HOLDS,
-    NOT_APPLICABLE,
-    REFUTED,
-    RefutationTrace,
-    TheoremOutcome,
-    ToleranceReport,
-    check_nonconn,
-    check_nontol,
-    constant_on,
-    refute_chain_in_induced,
-    tolerance_report,
-    tolerant_cover,
-)
+Submodules load on first use: ``import vspace`` imports none of them, and
+reading a public name imports only the submodule that defines it.
+"""
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BudgetExceededError",
-    "CodedSpace",
-    "CodedSpaceConfig",
-    "CodingConfigError",
-    "ConnectivityVerdict",
-    "DECJZ",
-    "DEFAULT_MAX_COVERS",
-    "EnumerationOracle",
-    "FiniteVSpace",
-    "HALT",
-    "HOLDS",
-    "INC",
-    "Labeling",
-    "NOT_APPLICABLE",
-    "ParseError",
-    "REFUTED",
-    "RefutationTrace",
-    "RoundtripReport",
-    "STRONG",
-    "TheoremOutcome",
-    "ToleranceReport",
-    "VSpaceError",
-    "ValidationError",
-    "VicinitySystem",
-    "Violation",
-    "WEAK",
-    "build_coded_space",
-    "build_pi",
-    "chain_exists",
-    "check_nonconn",
-    "check_nontol",
-    "constant_on",
-    "decode_from_cover",
-    "induced_space",
-    "is_connected",
-    "machine_enumeration",
-    "make_space",
-    "member_at",
-    "newly_at",
-    "overlap_graph",
-    "pair",
-    "refute_chain_in_induced",
-    "run_program",
-    "strong_from_weak",
-    "tolerance_report",
-    "tolerant_cover",
-    "unpair",
-    "validate_config",
-    "validate_space",
-    "validate_system",
-    "verify_roundtrip",
-    "verify_witness",
-    "weak_from_strong",
-]
+# The public names of each submodule.
+_EXPORTS = {
+    "coding": """CodedSpace CodedSpaceConfig RoundtripReport build_coded_space build_pi
+        decode_from_cover pair unpair validate_config verify_roundtrip""",
+    "connectivity": """DEFAULT_MAX_COVERS ConnectivityVerdict chain_exists is_connected
+        overlap_graph verify_witness""",
+    "errors": "BudgetExceededError CodingConfigError ParseError ValidationError VSpaceError",
+    "oracles": "DECJZ HALT INC EnumerationOracle machine_enumeration member_at newly_at run_program",
+    "spaces": """STRONG WEAK FiniteVSpace Labeling VicinitySystem Violation induced_space
+        make_space strong_from_weak validate_space validate_system weak_from_strong""",
+    "tolerance": """HOLDS NOT_APPLICABLE REFUTED RefutationTrace TheoremOutcome ToleranceReport
+        check_nonconn check_nontol constant_on refute_chain_in_induced tolerance_report
+        tolerant_cover""",
+}
+# Each public name and the submodule that defines it.
+_HOMES = {name: home for home, names in _EXPORTS.items() for name in names.split()}
+
+__all__ = sorted(_HOMES)
+
+
+def __getattr__(name: str):
+    # Looked up in the home module on every access and never stored here,
+    # so a name rebound in its home module (as a tracer does, and undoes)
+    # is seen at once.
+    try:
+        home = _HOMES[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    return getattr(import_module(f"{__name__}.{home}"), name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_HOMES})

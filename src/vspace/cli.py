@@ -14,7 +14,10 @@ import argparse
 import sys
 from pathlib import Path
 
-from . import coding, connectivity, files, tolerance
+# A command imports the modules that only it uses, so a process loads
+# no more than its command runs.  connectivity stays here for the
+# default of --max-covers.
+from . import connectivity, files
 from .errors import ParseError, VSpaceError
 from .spaces import induced_space, make_space, validate_space
 
@@ -79,6 +82,8 @@ def cmd_connected(args) -> int:
 
 
 def cmd_tolerance(args) -> int:
+    from . import tolerance
+
     doc = _load_space(args.space)
     report = tolerance.tolerance_report(doc.space, _labels(doc))
     print("intolerant" if report.violations else "tolerant")
@@ -90,6 +95,8 @@ def cmd_tolerance(args) -> int:
 
 
 def cmd_tolerant_cover(args) -> int:
+    from . import tolerance
+
     doc = _load_space(args.space)
     cover = tolerance.tolerant_cover(doc.space, _labels(doc))
     _write(args.out, files.serialize_cover(cover))
@@ -110,6 +117,8 @@ def cmd_induced(args) -> int:
 
 
 def cmd_verify_nontol(args) -> int:
+    from . import tolerance
+
     doc = _load_space(args.space)
     a, b = _endpoints(doc, args)
     outcome = tolerance.check_nontol(
@@ -127,6 +136,8 @@ def cmd_verify_nontol(args) -> int:
 
 
 def cmd_verify_nonconn(args) -> int:
+    from . import tolerance
+
     doc = _load_space(args.space)
     a, b = _endpoints(doc, args)
     outcome = tolerance.check_nonconn(doc.space.points, _labels(doc), a, b)
@@ -135,6 +146,8 @@ def cmd_verify_nonconn(args) -> int:
 
 
 def cmd_code_build(args) -> int:
+    from . import coding
+
     oracle = files.parse_oracle(_read(args.oracle))
     config = coding.CodedSpaceConfig(args.a, args.b, args.points, args.stages)
     coded = coding.build_coded_space(oracle, config)
@@ -147,6 +160,8 @@ def cmd_code_build(args) -> int:
 
 
 def cmd_code_decode(args) -> int:
+    from . import coding
+
     doc = _load_space(args.space)
     if doc.a is None or doc.b is None:
         raise VSpaceError("the space file must carry 'a P' and 'b P' lines")
@@ -170,6 +185,8 @@ def cmd_code_decode(args) -> int:
 
 
 def cmd_code_roundtrip(args) -> int:
+    from . import coding
+
     oracle = files.parse_oracle(_read(args.oracle))
     config = coding.CodedSpaceConfig(args.a, args.b, args.points, args.stages)
     report = coding.verify_roundtrip(oracle, config)

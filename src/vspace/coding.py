@@ -26,10 +26,10 @@ x <= code(x, s) and equality only at (0, 0).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import isqrt
 from typing import Iterable, Mapping
 
+from ._record import Record
 from .connectivity import Cover, resolve_choice, verify_witness
 from .errors import CodingConfigError, ValidationError
 from .oracles import EnumerationOracle
@@ -67,28 +67,31 @@ def unpair(code: int) -> tuple[int, int]:
     return x, d - x
 
 
-@dataclass(frozen=True)
-class CodedSpaceConfig:
+class CodedSpaceConfig(Record):
     """Designated endpoints and the finite cut-offs of a coded space.
 
     Points run 0..point_bound, stages 0..stage_bound.
     """
 
-    a: int
-    b: int
-    point_bound: int
-    stage_bound: int
+    _fields = ("a", "b", "point_bound", "stage_bound")
+
+    def __init__(self, a: int, b: int, point_bound: int, stage_bound: int) -> None:
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "point_bound", point_bound)
+        object.__setattr__(self, "stage_bound", stage_bound)
 
 
-@dataclass(frozen=True)
-class CodedSpace:
-    space: FiniteVSpace
-    pi: dict[int, str]
-    config: CodedSpaceConfig
+class CodedSpace(Record):
+    _fields = ("space", "pi", "config")
+
+    def __init__(self, space: FiniteVSpace, pi: dict[int, str], config: CodedSpaceConfig) -> None:
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "pi", pi)
+        object.__setattr__(self, "config", config)
 
 
-@dataclass(frozen=True)
-class RoundtripReport:
+class RoundtripReport(Record):
     """Results of the end-to-end coding check.
 
     ``decoded_in`` lists the points the tolerant witness decodes as
@@ -96,13 +99,27 @@ class RoundtripReport:
     (decoded, expected).
     """
 
-    labels_differ: bool
-    tolerance_ok: bool
-    witness_ok: bool
-    agreement_ok: bool
-    decoded_in: tuple[int, ...]
-    mismatches: tuple[tuple[int, bool, bool], ...]
-    witness: dict[int, int] | None
+    _fields = (
+        "labels_differ", "tolerance_ok", "witness_ok", "agreement_ok", "decoded_in", "mismatches", "witness"
+    )
+
+    def __init__(
+        self,
+        labels_differ: bool,
+        tolerance_ok: bool,
+        witness_ok: bool,
+        agreement_ok: bool,
+        decoded_in: tuple[int, ...],
+        mismatches: tuple[tuple[int, bool, bool], ...],
+        witness: dict[int, int] | None,
+    ) -> None:
+        object.__setattr__(self, "labels_differ", labels_differ)
+        object.__setattr__(self, "tolerance_ok", tolerance_ok)
+        object.__setattr__(self, "witness_ok", witness_ok)
+        object.__setattr__(self, "agreement_ok", agreement_ok)
+        object.__setattr__(self, "decoded_in", decoded_in)
+        object.__setattr__(self, "mismatches", mismatches)
+        object.__setattr__(self, "witness", witness)
 
     @property
     def passed(self) -> bool:

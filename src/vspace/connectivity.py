@@ -50,9 +50,9 @@ an index.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
+from ._record import Record
 from .errors import BudgetExceededError, ValidationError
 from .spaces import WEAK, FiniteVSpace, VicinitySystem, _not_points, require_points, require_valid_space
 
@@ -62,8 +62,7 @@ DEFAULT_MAX_COVERS = 2**24
 Cover = Mapping[int, int]
 
 
-@dataclass(frozen=True)
-class ConnectivityVerdict:
+class ConnectivityVerdict(Record):
     """Outcome of the connectedness decision.
 
     ``connected`` means every cover admits a chain; no single example
@@ -71,8 +70,11 @@ class ConnectivityVerdict:
     rest.  ``witness`` is set exactly when not connected.
     """
 
-    connected: bool
-    witness: dict[int, int] | None = None
+    _fields = ("connected", "witness")
+
+    def __init__(self, connected: bool, witness: dict[int, int] | None = None) -> None:
+        object.__setattr__(self, "connected", connected)
+        object.__setattr__(self, "witness", witness)
 
 
 def require_search(engine: str, max_covers: int) -> None:

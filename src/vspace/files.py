@@ -37,11 +37,14 @@ OracleFile::
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
+from ._record import Record
 from .errors import ParseError, ValidationError
-from .oracles import EnumerationOracle
 from .spaces import STRONG, WEAK, FiniteVSpace, make_space, require_points
+
+if TYPE_CHECKING:
+    from .oracles import EnumerationOracle
 
 LABEL_TOKEN = re.compile(r"[A-Za-z0-9_]+\Z")
 
@@ -49,14 +52,21 @@ LABEL_TOKEN = re.compile(r"[A-Za-z0-9_]+\Z")
 MAX_POINTS = 100_000
 
 
-@dataclass(frozen=True)
-class SpaceDocument:
-    """A parsed space file: the space plus optional labeling and endpoints."""
+class SpaceDocument(Record):
+    """A parsed space file: the space plus optional labeling and endpoints.
 
-    space: FiniteVSpace
-    labels: dict[int, str] = field(default_factory=dict)
-    a: int | None = None
-    b: int | None = None
+    ``labels`` defaults to a new empty dict for each document.
+    """
+
+    _fields = ("space", "labels", "a", "b")
+
+    def __init__(
+        self, space: FiniteVSpace, labels: dict[int, str] | None = None, a: int | None = None, b: int | None = None
+    ) -> None:
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "labels", {} if labels is None else labels)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
 
 
 def _lines(text: str) -> list[tuple[int, list[str]]]:
@@ -195,6 +205,8 @@ def serialize_cover(cover: dict[int, int]) -> str:
 
 
 def parse_oracle(text: str) -> EnumerationOracle:
+    from .oracles import EnumerationOracle
+
     lines = _expect_header(_lines(text), "oracle v1")
     lineno, value, lines = _field(lines, "stages T", "the header")
     stage_bound = _int(value, lineno, "stage bound")

@@ -9,10 +9,10 @@ budget within which it halts).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
+from ._record import Record
 from .errors import ValidationError
 
 # Register machine instructions over two registers r0, r1:
@@ -30,27 +30,27 @@ DECJZ = "DECJZ"
 HALT = "HALT"
 
 
-@dataclass(frozen=True)
-class EnumerationOracle:
+class EnumerationOracle(Record):
     """Stage-indexed enumeration of a finite set of non-negative integers.
 
     ``entries`` is a read-only copy of the mapping given, so later changes
     to the caller's mapping cannot reach the oracle.
     """
 
-    entries: Mapping[int, int]
-    stage_bound: int
+    _fields = ("entries", "stage_bound")
 
-    def __post_init__(self):
-        _check_stage_bound(self.stage_bound)
-        if not isinstance(self.entries, Mapping):
-            raise ValidationError(f"entries must be a mapping, got {type(self.entries).__name__}")
-        object.__setattr__(self, "entries", MappingProxyType(dict(self.entries)))
-        for x, s in self.entries.items():
+    def __init__(self, entries: Mapping[int, int], stage_bound: int) -> None:
+        _check_stage_bound(stage_bound)
+        if not isinstance(entries, Mapping):
+            raise ValidationError(f"entries must be a mapping, got {type(entries).__name__}")
+        entries = MappingProxyType(dict(entries))
+        for x, s in entries.items():
             if type(x) is not int or x < 0:
                 raise ValidationError(f"enumerated value {x!r} must be non-negative and an int")
-            if type(s) is not int or not 0 <= s <= self.stage_bound:
-                raise ValidationError(f"stage {s!r} of value {x} is not an int in 0..{self.stage_bound}")
+            if type(s) is not int or not 0 <= s <= stage_bound:
+                raise ValidationError(f"stage {s!r} of value {x} is not an int in 0..{stage_bound}")
+        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "stage_bound", stage_bound)
 
     def __reduce__(self):
         # A mapping proxy cannot be pickled or deep-copied; rebuild from a dict.

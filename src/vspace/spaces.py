@@ -13,12 +13,12 @@ the result; ``systems`` is read-only, so it cannot go stale.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import chain
 from types import MappingProxyType
 from typing import Collection, Iterable, Mapping, Sequence
 
+from ._record import Record
 from .errors import ValidationError
 
 WEAK = "weak"
@@ -28,38 +28,41 @@ STRONG = "strong"
 Labeling = Mapping[int, str]
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(Record):
     """One structural defect found by validation."""
 
-    kind: str
-    point: int | None
-    detail: str
+    _fields = ("kind", "point", "detail")
+
+    def __init__(self, kind: str, point: int | None, detail: str) -> None:
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "point", point)
+        object.__setattr__(self, "detail", detail)
 
     def __str__(self) -> str:
         where = "space" if self.point is None else f"point {self.point}"
         return f"{self.kind} ({where}): {self.detail}"
 
 
-@dataclass(frozen=True)
-class VicinitySystem:
+class VicinitySystem(Record):
     """The ordered vicinities of one point."""
 
-    owner: int
-    vicinities: tuple[frozenset[int], ...]
-    mode: str = STRONG
+    _fields = ("owner", "vicinities", "mode")
+
+    def __init__(self, owner: int, vicinities: tuple[frozenset[int], ...], mode: str = STRONG) -> None:
+        object.__setattr__(self, "owner", owner)
+        object.__setattr__(self, "vicinities", vicinities)
+        object.__setattr__(self, "mode", mode)
 
 
-@dataclass(frozen=True)
-class FiniteVSpace:
+class FiniteVSpace(Record):
     """A V-space on the dense point set 0..num_points-1."""
 
-    num_points: int
-    systems: Mapping[int, VicinitySystem]
-    mode: str = STRONG
+    _fields = ("num_points", "systems", "mode")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "systems", MappingProxyType(dict(self.systems)))
+    def __init__(self, num_points: int, systems: Mapping[int, VicinitySystem], mode: str = STRONG) -> None:
+        object.__setattr__(self, "num_points", num_points)
+        object.__setattr__(self, "systems", MappingProxyType(dict(systems)))
+        object.__setattr__(self, "mode", mode)
 
     def __reduce__(self):
         # A mapping proxy cannot be pickled or deep-copied; rebuild from a dict.
@@ -209,7 +212,7 @@ def weak_from_strong(system: VicinitySystem) -> VicinitySystem:
     if system.mode != STRONG:
         raise ValidationError("weak_from_strong expects a strong system")
     _require_valid_system(system)
-    return replace(system, mode=WEAK)
+    return VicinitySystem(system.owner, system.vicinities, WEAK)
 
 
 def strong_from_weak(system: VicinitySystem) -> VicinitySystem:

@@ -15,8 +15,7 @@ an unmet hypothesis is never confused with a counterexample.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._record import Record
 from .connectivity import DEFAULT_MAX_COVERS, chain_exists, is_connected, require_search
 from .errors import ValidationError
 from .spaces import (
@@ -33,28 +32,37 @@ NOT_APPLICABLE = "notapplicable"
 REFUTED = "refuted"
 
 
-@dataclass(frozen=True)
-class ToleranceReport:
+class ToleranceReport(Record):
     """Per-point tolerance: violators and least constant indices.
 
     ``violations`` and ``tolerant_indices`` partition the point set;
     ``tolerant_indices`` lists its points in ascending order.
     """
 
-    violations: frozenset[int]
-    tolerant_indices: dict[int, int]
+    _fields = ("violations", "tolerant_indices")
+
+    def __init__(self, violations: frozenset[int], tolerant_indices: dict[int, int]) -> None:
+        object.__setattr__(self, "violations", violations)
+        object.__setattr__(self, "tolerant_indices", tolerant_indices)
 
 
-@dataclass(frozen=True)
-class TheoremOutcome:
-    status: str
-    reason: str | None = None
-    violations: frozenset[int] | None = None
-    witness: dict[int, int] | None = None
+class TheoremOutcome(Record):
+    _fields = ("status", "reason", "violations", "witness")
+
+    def __init__(
+        self,
+        status: str,
+        reason: str | None = None,
+        violations: frozenset[int] | None = None,
+        witness: dict[int, int] | None = None,
+    ) -> None:
+        object.__setattr__(self, "status", status)
+        object.__setattr__(self, "reason", reason)
+        object.__setattr__(self, "violations", violations)
+        object.__setattr__(self, "witness", witness)
 
 
-@dataclass(frozen=True)
-class RefutationTrace:
+class RefutationTrace(Record):
     """Why a candidate chain in an induced space forces equal labels.
 
     ``meeting_points[j]`` is the least element of the intersection of the
@@ -62,9 +70,12 @@ class RefutationTrace:
     endpoints, carry ``label``.
     """
 
-    chain: tuple[int, ...]
-    meeting_points: tuple[int, ...]
-    label: str
+    _fields = ("chain", "meeting_points", "label")
+
+    def __init__(self, chain: tuple[int, ...], meeting_points: tuple[int, ...], label: str) -> None:
+        object.__setattr__(self, "chain", chain)
+        object.__setattr__(self, "meeting_points", meeting_points)
+        object.__setattr__(self, "label", label)
 
 
 def constant_on(pi: Labeling, vicinity: frozenset[int]) -> bool:
@@ -83,12 +94,19 @@ def tolerance_report(space: FiniteVSpace, pi: Labeling) -> ToleranceReport:
     """Classify every point as tolerant (with its least constant index) or not.
 
     Weak padding never produces a new constant index: indices past the
-    end denote vicinity 0, which is examined first anyway.  A valid
-    vicinity holds its owner, so it is constant iff every member carries
-    the owner's label.
+    end denote vicinity 0, which is examined first anyway.
     """
     require_valid_space(space)
     require_total_labeling(pi, space.points)
+    return _tolerance(space, pi)
+
+
+def _tolerance(space: FiniteVSpace, pi: Labeling) -> ToleranceReport:
+    """``tolerance_report`` of a valid space and a total labeling.
+
+    A valid vicinity holds its owner, so it is constant iff every member
+    carries the owner's label.
+    """
     violations = set()
     indices: dict[int, int] = {}
     for p in space.points:
@@ -141,7 +159,7 @@ def check_nontol(
     verdict = is_connected(space, a, b, engine=engine, max_covers=max_covers)
     if not verdict.connected:
         return TheoremOutcome(NOT_APPLICABLE, reason="not connected")
-    report = tolerance_report(space, pi)
+    report = _tolerance(space, pi)
     if report.violations:
         return TheoremOutcome(HOLDS, violations=report.violations)
     return TheoremOutcome(REFUTED)

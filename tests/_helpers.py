@@ -6,10 +6,15 @@ they can serve as oracles for the implementations under test.
 """
 from __future__ import annotations
 
+import copy
 import itertools
+import pickle
 import random
 
 from vspace import STRONG, WEAK, FiniteVSpace, make_space
+
+# Ways to clone a value: copy, deepcopy and a pickle round-trip.
+CLONES = [copy.copy, copy.deepcopy, lambda value: pickle.loads(pickle.dumps(value))]
 
 
 def _reaches(sets, a: int, b: int) -> bool:

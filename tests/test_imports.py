@@ -1,0 +1,93 @@
+"""What a fresh process imports: the package loads submodules on first use,
+and each CLI command loads only the modules it runs."""
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import vspace
+import vspace.tolerance
+
+SRC = Path(__file__).parent.parent / "src"
+S1 = Path(__file__).parent / "fixtures" / "s1.vs"
+UNUSED_BY_VALIDATE = ["vspace.coding", "vspace.tolerance", "vspace.oracles", "dataclasses"]
+
+
+def fresh(code: str):
+    """Run ``code`` in a new interpreter on this checkout; return what it prints as JSON."""
+    proc = subprocess.run(
+        [sys.executable, "-c", f"import sys; sys.path.insert(0, {str(SRC)!r})\n{code}"],
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+@pytest.mark.parametrize(
+    "command, unused",
+    [("validate", UNUSED_BY_VALIDATE), ("connected", UNUSED_BY_VALIDATE[:3])],
+    ids=["validate", "connected"],
+)
+def test_a_command_imports_only_what_it_runs(command, unused):
+    loaded = fresh(
+        "import json, vspace.cli\n"
+        f"code = vspace.cli.main([{command!r}, {str(S1)!r}])\n"
+        f"print(json.dumps([code, [m for m in {unused!r} if m in sys.modules]]))"
+    )
+    assert loaded == [0 if command == "validate" else 1, []]
+
+
+def test_import_vspace_loads_no_submodule_until_a_name_is_read():
+    loaded = fresh(
+        "import json, vspace\n"
+        "before = sorted(m for m in sys.modules if m.startswith('vspace.'))\n"
+        "vspace.ParseError\n"
+        "after = sorted(m for m in sys.modules if m.startswith('vspace.'))\n"
+        "print(json.dumps([before, after]))"
+    )
+    assert loaded == [[], ["vspace.errors"]]
+
+
+def test_every_public_name_is_its_home_modules_object():
+    wrong = fresh(
+        "import json, types, vspace\n"
+        "wrong = []\n"
+        "for name in vspace.__all__:\n"
+        "    value, home = getattr(vspace, name), sys.modules['vspace.' + vspace._HOMES[name]]\n"
+        "    defined = value.__module__ if isinstance(value, (type, types.FunctionType)) else home.__name__\n"
+        "    if value is not getattr(home, name) or defined != home.__name__:\n"
+        "        wrong.append(name)\n"
+        "print(json.dumps(wrong))"
+    )
+    assert wrong == []
+
+
+def test_dir_lists_every_public_name():
+    listed = fresh("import json, vspace\nprint(json.dumps(dir(vspace)))")
+    assert set(vspace.__all__) <= set(listed) and "__version__" in listed
+    assert set(vspace.__all__) <= set(dir(vspace))
+
+
+def test_star_import_binds_every_public_name():
+    namespace: dict = {}
+    exec("from vspace import *", namespace)
+    assert {name: namespace[name] for name in vspace.__all__} == {name: getattr(vspace, name) for name in vspace.__all__}
+
+
+def test_an_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        vspace.no_such_name
+    with pytest.raises(ImportError):
+        exec("from vspace import no_such_name", {})
+
+
+def test_a_public_name_follows_a_rebinding_in_its_home_module(monkeypatch):
+    original = vspace.tolerance_report
+    monkeypatch.setattr(vspace.tolerance, "tolerance_report", len)
+    assert vspace.tolerance_report is len
+    monkeypatch.undo()
+    assert vspace.tolerance_report is original is vspace.tolerance.tolerance_report
+    assert "tolerance_report" not in vars(vspace)

@@ -1,0 +1,113 @@
+"""Value semantics of the public result classes.
+
+Each class is an immutable record: built by keyword or position, equal to
+another instance of the same class with equal fields, hashed by its field
+tuple, printed as ``Name(field=value, ...)``, and refusing assignment and
+deletion.
+"""
+import pytest
+
+from _helpers import CLONES
+from vspace import (
+    STRONG,
+    WEAK,
+    CodedSpace,
+    CodedSpaceConfig,
+    ConnectivityVerdict,
+    EnumerationOracle,
+    FiniteVSpace,
+    RefutationTrace,
+    RoundtripReport,
+    TheoremOutcome,
+    ToleranceReport,
+    VicinitySystem,
+    Violation,
+)
+from vspace.files import SpaceDocument
+
+SYSTEM = VicinitySystem(owner=0, vicinities=(frozenset({0}),), mode=STRONG)
+SPACE = FiniteVSpace(num_points=1, systems={0: SYSTEM}, mode=STRONG)
+CONFIG = CodedSpaceConfig(a=0, b=2, point_bound=25, stage_bound=3)
+
+# One instance of every public result class, given as the class and its
+# fields by keyword, in declaration order.
+RECORDS = [
+    (Violation, dict(kind="empty-system", point=1, detail="system has no vicinities")),
+    (VicinitySystem, dict(owner=1, vicinities=(frozenset({1}), frozenset({0, 1})), mode=WEAK)),
+    (FiniteVSpace, dict(num_points=1, systems={0: SYSTEM}, mode=STRONG)),
+    (ConnectivityVerdict, dict(connected=True, witness=None)),
+    (ToleranceReport, dict(violations=frozenset({2}), tolerant_indices={0: 0, 1: 1})),
+    (TheoremOutcome, dict(status="holds", reason=None, violations=frozenset({1}), witness=None)),
+    (RefutationTrace, dict(chain=(0, 1), meeting_points=(0,), label="A")),
+    (CodedSpaceConfig, dict(a=0, b=2, point_bound=25, stage_bound=3)),
+    (CodedSpace, dict(space=SPACE, pi={0: "0"}, config=CONFIG)),
+    (
+        RoundtripReport,
+        dict(
+            labels_differ=True, tolerance_ok=True, witness_ok=True, agreement_ok=False,
+            decoded_in=(3,), mismatches=((4, False, True),), witness={0: 0},
+        ),
+    ),
+    (EnumerationOracle, dict(entries={3: 1}, stage_bound=3)),
+    (SpaceDocument, dict(space=SPACE, labels={0: "A"}, a=0, b=None)),
+]
+IDS = [cls.__name__ for cls, _ in RECORDS]
+
+
+@pytest.mark.parametrize("cls, fields", RECORDS, ids=IDS)
+def test_equal_fields_give_equal_records_with_equal_hashes(cls, fields):
+    one, two = cls(**fields), cls(*fields.values())
+    assert one == two and not one != two
+    values = tuple(getattr(one, name) for name in fields)
+    try:
+        expected = hash(values)
+    except TypeError:
+        with pytest.raises(TypeError):
+            hash(one)
+    else:
+        assert hash(one) == hash(two) == expected
+
+
+@pytest.mark.parametrize("cls, fields", RECORDS, ids=IDS)
+def test_a_different_class_with_the_same_fields_is_not_equal(cls, fields):
+    other = type(cls.__name__, (cls,), {})(**fields)
+    assert cls(**fields) != other and not cls(**fields) == other
+
+
+def test_repr_spells_out_every_field():
+    assert repr(ConnectivityVerdict(False, {0: 0, 1: 1})) == "ConnectivityVerdict(connected=False, witness={0: 0, 1: 1})"
+    assert repr(ConnectivityVerdict(True)) == "ConnectivityVerdict(connected=True, witness=None)"
+    assert (
+        repr(Violation("empty-system", None, "system has no vicinities"))
+        == "Violation(kind='empty-system', point=None, detail='system has no vicinities')"
+    )
+
+
+@pytest.mark.parametrize("cls, fields", RECORDS, ids=IDS)
+def test_fields_cannot_be_assigned_or_deleted(cls, fields):
+    record = cls(**fields)
+    for name in (*fields, "extra"):
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+    assert record == cls(**fields)
+
+
+def test_defaults():
+    assert VicinitySystem(0, (frozenset({0}),)).mode == STRONG
+    assert FiniteVSpace(1, {0: SYSTEM}).mode == STRONG
+    assert ConnectivityVerdict(True).witness is None
+    outcome = TheoremOutcome("refuted")
+    assert (outcome.reason, outcome.violations, outcome.witness) == (None, None, None)
+    one, two = SpaceDocument(SPACE), SpaceDocument(space=SPACE)
+    assert (one.labels, one.a, one.b) == ({}, None, None)
+    assert one.labels is not two.labels
+
+
+@pytest.mark.parametrize("clone", CLONES, ids=["copy", "deepcopy", "pickle"])
+@pytest.mark.parametrize("cls, fields", RECORDS, ids=IDS)
+def test_clones_are_equal_records(cls, fields, clone):
+    record = cls(**fields)
+    twin = clone(record)
+    assert type(twin) is cls and twin == record

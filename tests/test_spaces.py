@@ -1,6 +1,3 @@
-import copy
-import dataclasses
-import pickle
 import random
 
 import pytest
@@ -8,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import vspace.spaces as spaces
+from _helpers import CLONES
 from vspace import (
     HOLDS,
     STRONG,
@@ -105,7 +103,7 @@ def test_space_keeps_its_own_copy_of_the_systems():
 
 @pytest.mark.parametrize(
     "clone",
-    [copy.copy, copy.deepcopy, lambda space: pickle.loads(pickle.dumps(space))],
+    CLONES,
     ids=["copy", "deepcopy", "pickle"],
 )
 def test_copies_and_pickles_are_equal_spaces(clone):
@@ -121,7 +119,7 @@ def test_copies_and_pickles_are_equal_spaces(clone):
 def test_replace_starts_a_fresh_memo():
     weak = make_space({0: [{0}], 1: [{1}, {1}]}, mode=WEAK)
     assert not is_connected(weak, 0, 1).connected
-    strong = dataclasses.replace(weak, mode=STRONG)
+    strong = FiniteVSpace(weak.num_points, weak.systems, STRONG)
     with pytest.raises(ValidationError):
         is_connected(strong, 0, 1)
 

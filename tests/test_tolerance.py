@@ -3,6 +3,7 @@ import time
 
 import pytest
 
+import vspace.tolerance as tolerance
 from vspace import (
     HOLDS,
     NOT_APPLICABLE,
@@ -72,6 +73,14 @@ def test_check_nontol_holds_on_s2():
     outcome = check_nontol(s2(), PI, 0, 2)
     assert outcome.status == HOLDS
     assert outcome.violations == frozenset({1})
+
+
+def test_check_nontol_checks_the_labeling_once(monkeypatch):
+    checks = []
+    original = tolerance.require_total_labeling
+    monkeypatch.setattr(tolerance, "require_total_labeling", lambda *args: checks.append(args) or original(*args))
+    assert check_nontol(s2(), PI, 0, 2).status == HOLDS
+    assert len(checks) == 1
 
 
 def test_check_nontol_not_applicable_when_disconnected():
