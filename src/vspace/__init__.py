@@ -9,17 +9,15 @@ __version__ = "0.1.0"
 
 # The public names of each submodule.
 _EXPORTS = {
-    "coding": """CodedSpace CodedSpaceConfig RoundtripReport build_coded_space build_pi
+    "coding": """CodedSpace CodedSpaceConfig RoundtripReport build_coded_space
         decode_from_cover pair unpair validate_config verify_roundtrip""",
-    "connectivity": """DEFAULT_MAX_COVERS ConnectivityVerdict chain_exists is_connected
-        overlap_graph verify_witness""",
-    "errors": "BudgetExceededError CodingConfigError ParseError ValidationError VSpaceError",
+    "connectivity": "ConnectivityVerdict chain_exists is_connected overlap_graph verify_witness",
+    "errors": "DEFAULT_MAX_COVERS BudgetExceededError CodingConfigError ParseError ValidationError VSpaceError",
     "oracles": "DECJZ HALT INC EnumerationOracle machine_enumeration member_at newly_at run_program",
     "spaces": """STRONG WEAK FiniteVSpace Labeling VicinitySystem Violation induced_space
         make_space strong_from_weak validate_space validate_system weak_from_strong""",
     "tolerance": """HOLDS NOT_APPLICABLE REFUTED RefutationTrace TheoremOutcome ToleranceReport
-        check_nonconn check_nontol constant_on refute_chain_in_induced tolerance_report
-        tolerant_cover""",
+        check_nonconn check_nontol refute_chain_in_induced tolerance_report tolerant_cover""",
 }
 # Each public name and the submodule that defines it.
 _HOMES = {name: home for home, names in _EXPORTS.items() for name in names.split()}

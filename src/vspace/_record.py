@@ -1,4 +1,5 @@
 """Immutable value records, compared and hashed by their fields."""
+from types import MappingProxyType
 
 
 class Record:
@@ -8,8 +9,11 @@ class Record:
     ``__init__`` with ``object.__setattr__``.  Two records are equal when
     they are of the same class with equal field tuples; a record hashes
     by its field tuple, prints as ``Name(field=value, ...)`` and refuses
-    assignment and deletion.  An attribute left out of ``_fields`` is
-    neither compared, hashed nor printed.
+    assignment and deletion.  A copy or a pickle calls the class with
+    the field values in order, a read-only mapping passed as a dict (a
+    mapping proxy can be neither pickled nor deep-copied), so
+    ``__init__`` must take ``_fields`` positionally.  An attribute left
+    out of ``_fields`` is neither compared, hashed, printed nor copied.
     """
 
     __slots__ = ()
@@ -25,6 +29,9 @@ class Record:
 
     def __hash__(self):
         return hash(self._values())
+
+    def __reduce__(self):
+        return type(self), tuple([dict(v) if type(v) is MappingProxyType else v for v in self._values()])
 
     def __repr__(self):
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)

@@ -15,10 +15,9 @@ import sys
 from pathlib import Path
 
 # A command imports the modules that only it uses, so a process loads
-# no more than its command runs.  connectivity stays here for the
-# default of --max-covers.
-from . import connectivity, files
-from .errors import ParseError, VSpaceError
+# no more than its command runs.
+from . import files
+from .errors import DEFAULT_MAX_COVERS, ParseError, VSpaceError
 from .spaces import induced_space, make_space, validate_space
 
 
@@ -65,6 +64,8 @@ def cmd_validate(args) -> int:
 
 
 def cmd_connected(args) -> int:
+    from . import connectivity
+
     doc = _load_space(args.space)
     a, b = _endpoints(doc, args)
     verdict = connectivity.is_connected(
@@ -73,11 +74,11 @@ def cmd_connected(args) -> int:
     if verdict.connected:
         print("connected")
         return 0
+    if args.witness_out:
+        _write(args.witness_out, files.serialize_cover(verdict.witness))
     print("notconnected")
     for p in sorted(verdict.witness):
         print(f"choose {p} {verdict.witness[p]}")
-    if args.witness_out:
-        _write(args.witness_out, files.serialize_cover(verdict.witness))
     return 1
 
 
@@ -210,7 +211,7 @@ def _add_budget_args(sub) -> None:
     sub.add_argument(
         "--max-covers",
         type=int,
-        default=connectivity.DEFAULT_MAX_COVERS,
+        default=DEFAULT_MAX_COVERS,
         help="search budget, covers for brute and search nodes for pruned "
         "(hard error when exceeded)",
     )

@@ -236,11 +236,6 @@ def validate_config(oracle: EnumerationOracle, config: CodedSpaceConfig) -> list
     return problems
 
 
-def build_pi(oracle: EnumerationOracle, config: CodedSpaceConfig) -> dict[int, str]:
-    """The two-value labeling of the coded space (see ``build_coded_space``)."""
-    return build_coded_space(oracle, config).pi
-
-
 def build_coded_space(oracle: EnumerationOracle, config: CodedSpaceConfig) -> CodedSpace:
     """Construct the coded space and its labeling (see ``_labeling``) for a valid config."""
     problems = validate_config(oracle, config)

@@ -53,11 +53,8 @@ import itertools
 from typing import Iterable, Mapping, Sequence
 
 from ._record import Record
-from .errors import BudgetExceededError, ValidationError
+from .errors import DEFAULT_MAX_COVERS, BudgetExceededError, ValidationError
 from .spaces import WEAK, FiniteVSpace, VicinitySystem, _not_points, require_points, require_valid_space
-
-# Hard cap on enumerated covers (brute) or visited search nodes (pruned).
-DEFAULT_MAX_COVERS = 2**24
 
 Cover = Mapping[int, int]
 
@@ -101,20 +98,20 @@ def resolve_choice(system: VicinitySystem, index: int) -> frozenset[int]:
     return system.vicinities[index]
 
 
-def chosen_vicinities(space: FiniteVSpace, cover: Cover) -> dict[int, frozenset[int]]:
-    """Each point's chosen vicinity set; validates the space, then the cover."""
+def chosen_vicinities(space: FiniteVSpace, cover: Cover) -> list[frozenset[int]]:
+    """Each point's chosen vicinity set, by point; validates the space, then the cover."""
     require_valid_space(space)
     missing = [p for p in space.points if p not in cover]
     if missing:
         raise ValidationError(f"cover missing points {missing}")
     if stray := _not_points(cover, space.num_points):
         raise ValidationError(f"cover mentions unknown points {stray}")
-    return {p: resolve_choice(space.systems[p], cover[p]) for p in space.points}
+    return [resolve_choice(space.systems[p], cover[p]) for p in space.points]
 
 
 def overlap_graph(space: FiniteVSpace, cover: Cover) -> dict[int, set[int]]:
     """Undirected graph with an edge wherever two chosen vicinities meet."""
-    chosen = list(chosen_vicinities(space, cover).values())
+    chosen = chosen_vicinities(space, cover)
     groups, holders = _index(chosen)
     # The points of a group share their neighbours.
     meets = {key: {y for m in chosen[ps[0]] for held in holders[m] for y in held} for key, ps in groups.items()}
@@ -129,7 +126,7 @@ def chain_exists(space: FiniteVSpace, cover: Cover, a: int, b: int) -> list[int]
     """
     chosen = chosen_vicinities(space, cover)
     require_points(space, (a, b), "endpoints")
-    return _chain(list(chosen.values()), a, b)
+    return _chain(chosen, a, b)
 
 
 def verify_witness(space: FiniteVSpace, cover: Cover, a: int, b: int) -> bool:

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the search budget's default."""
+
+# Hard cap on enumerated covers (brute) or visited search nodes (pruned).
+DEFAULT_MAX_COVERS = 2**24
 
 
 class VSpaceError(Exception):

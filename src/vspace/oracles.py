@@ -52,10 +52,6 @@ class EnumerationOracle(Record):
         object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "stage_bound", stage_bound)
 
-    def __reduce__(self):
-        # A mapping proxy cannot be pickled or deep-copied; rebuild from a dict.
-        return (type(self), (dict(self.entries), self.stage_bound))
-
 
 def _check_stage_bound(stage_bound: int) -> None:
     if type(stage_bound) is not int or stage_bound < 0:

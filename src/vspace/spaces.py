@@ -64,10 +64,6 @@ class FiniteVSpace(Record):
         object.__setattr__(self, "systems", MappingProxyType(dict(systems)))
         object.__setattr__(self, "mode", mode)
 
-    def __reduce__(self):
-        # A mapping proxy cannot be pickled or deep-copied; rebuild from a dict.
-        return (type(self), (self.num_points, dict(self.systems), self.mode))
-
     @property
     def points(self) -> range:
         return range(self.num_points)

@@ -16,8 +16,8 @@ an unmet hypothesis is never confused with a counterexample.
 from __future__ import annotations
 
 from ._record import Record
-from .connectivity import DEFAULT_MAX_COVERS, chain_exists, is_connected, require_search
-from .errors import ValidationError
+from .connectivity import chain_exists, is_connected, require_search
+from .errors import DEFAULT_MAX_COVERS, ValidationError
 from .spaces import (
     FiniteVSpace,
     Labeling,
@@ -76,18 +76,6 @@ class RefutationTrace(Record):
         object.__setattr__(self, "chain", chain)
         object.__setattr__(self, "meeting_points", meeting_points)
         object.__setattr__(self, "label", label)
-
-
-def constant_on(pi: Labeling, vicinity: frozenset[int]) -> bool:
-    """True iff every member of the vicinity carries the same label."""
-    labels = set()
-    for y in vicinity:
-        if y not in pi:
-            raise ValidationError(f"labeling undefined on point {y}")
-        labels.add(pi[y])
-        if len(labels) > 1:
-            return False
-    return True
 
 
 def tolerance_report(space: FiniteVSpace, pi: Labeling) -> ToleranceReport:

@@ -64,6 +64,13 @@ def test_connected_notconnected_with_witness_file(capsys, tmp_path):
     assert witness.read_bytes() == (FIXTURES / "c1.cov").read_bytes()
 
 
+def test_connected_fails_before_printing_when_the_witness_cannot_be_written(capsys, tmp_path):
+    witness = tmp_path / "missing" / "w.cov"
+    code, out, err = run(capsys, "connected", fx("s1.vs"), "--witness-out", str(witness))
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and not witness.exists()
+
+
 def test_connected_uses_endpoints_from_file(capsys):
     code, out, _ = run(capsys, "connected", fx("s2.vs"))
     assert (code, out) == (0, "connected\n")

@@ -14,12 +14,11 @@ from vspace import (
     EnumerationOracle,
     ValidationError,
     build_coded_space,
-    build_pi,
-    constant_on,
     decode_from_cover,
     is_connected,
     machine_enumeration,
     pair,
+    tolerance_report,
     tolerant_cover,
     unpair,
     validate_config,
@@ -292,7 +291,7 @@ def test_empty_oracle_coded_space():
 
 
 def test_pi_of_k1_matches_the_threeway_rule():
-    assert build_pi(K1, K1_CONFIG) == K1_PI
+    assert build_coded_space(K1, K1_CONFIG).pi == K1_PI
 
 
 def test_pi_of_a_point_in_v_b_is_one_when_zero_is_enumerated_at_stage_zero():
@@ -311,7 +310,7 @@ def test_roundtrip_zero_enumerated_at_stage_zero():
 
 
 def test_pi_labels_the_appearance_codes():
-    pi = build_pi(K1, K1_CONFIG)
+    pi = build_coded_space(K1, K1_CONFIG).pi
     assert pi[13] == "0"  # code of (3, 1): 3 newly at 1
     assert pi[18] == "1"  # code of (3, 2): one stage later
     assert pi[3] == pi[0] == "0"  # 3 = code(0, 2), 0 never enumerated
@@ -323,7 +322,7 @@ def test_pi_endpoint_labels_always_differ():
         (EnumerationOracle({}, 2), CodedSpaceConfig(0, 2, 5, 2)),
         (EnumerationOracle({3: 1, 5: 4}, 6), CodedSpaceConfig(0, 2, 71, 6)),
     ]:
-        pi = build_pi(oracle, config)
+        pi = build_coded_space(oracle, config).pi
         assert pi[config.a] == "0"
         assert pi[config.b] == "1"
 
@@ -336,12 +335,8 @@ def test_appearance_codes_sit_in_both_endpoint_vicinities():
 
 def test_constancy_threshold_around_the_appearance_stage():
     coded = build_coded_space(K1, K1_CONFIG)
-    vics = coded.space.systems[3].vicinities
     # Non-constant up to one stage past the appearance, constant after.
-    assert not constant_on(coded.pi, vics[0])
-    assert not constant_on(coded.pi, vics[1])
-    assert not constant_on(coded.pi, vics[2])
-    assert constant_on(coded.pi, vics[3])
+    assert tolerance_report(coded.space, coded.pi).tolerant_indices[3] == 3
 
 
 def k1_all_covers(space):

@@ -27,17 +27,22 @@ def fresh(code: str):
 
 
 @pytest.mark.parametrize(
-    "command, unused",
-    [("validate", UNUSED_BY_VALIDATE), ("connected", UNUSED_BY_VALIDATE[:3])],
-    ids=["validate", "connected"],
+    "command, code, used, unused",
+    [
+        ("validate", 0, [], ["vspace.connectivity", *UNUSED_BY_VALIDATE]),
+        ("induced", 0, [], ["vspace.connectivity", *UNUSED_BY_VALIDATE]),
+        ("connected", 1, ["vspace.connectivity"], UNUSED_BY_VALIDATE[:3]),
+    ],
+    ids=["validate", "induced", "connected"],
 )
-def test_a_command_imports_only_what_it_runs(command, unused):
+def test_a_command_imports_only_what_it_runs(command, code, used, unused, tmp_path):
+    argv = [command, str(S1), *(["--out", str(tmp_path / "out.vs")] if command == "induced" else [])]
     loaded = fresh(
         "import json, vspace.cli\n"
-        f"code = vspace.cli.main([{command!r}, {str(S1)!r}])\n"
-        f"print(json.dumps([code, [m for m in {unused!r} if m in sys.modules]]))"
+        f"code = vspace.cli.main({argv!r})\n"
+        f"print(json.dumps([code, [m for m in {[*used, *unused]!r} if m in sys.modules]]))"
     )
-    assert loaded == [0 if command == "validate" else 1, []]
+    assert loaded == [code, used]
 
 
 def test_import_vspace_loads_no_submodule_until_a_name_is_read():

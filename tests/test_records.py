@@ -5,6 +5,8 @@ another instance of the same class with equal fields, hashed by its field
 tuple, printed as ``Name(field=value, ...)``, and refusing assignment and
 deletion.
 """
+from types import MappingProxyType
+
 import pytest
 
 from _helpers import CLONES
@@ -111,3 +113,26 @@ def test_clones_are_equal_records(cls, fields, clone):
     record = cls(**fields)
     twin = clone(record)
     assert type(twin) is cls and twin == record
+
+
+# The records that hold a read-only mapping, and the field that holds it.
+MAPPING_HOLDERS = [(FiniteVSpace, "systems"), (EnumerationOracle, "entries")]
+
+
+@pytest.mark.parametrize("clone", CLONES, ids=["copy", "deepcopy", "pickle"])
+@pytest.mark.parametrize("cls, name", MAPPING_HOLDERS, ids=["FiniteVSpace", "EnumerationOracle"])
+def test_clones_keep_their_mapping_read_only(cls, name, clone):
+    fields = dict(RECORDS)[cls]
+    mapping = getattr(clone(cls(**fields)), name)
+    assert type(mapping) is MappingProxyType and mapping == fields[name]
+    with pytest.raises(TypeError):
+        mapping[0] = None
+
+
+@pytest.mark.parametrize("clone", CLONES, ids=["copy", "deepcopy", "pickle"])
+def test_a_clone_of_a_space_validates_on_first_use(clone):
+    space = FiniteVSpace(1, {0: SYSTEM})
+    assert space.violations == () and "violations" in vars(space)
+    twin = clone(space)
+    assert "violations" not in vars(twin)
+    assert twin.violations == () and "violations" in vars(twin)

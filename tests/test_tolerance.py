@@ -12,7 +12,6 @@ from vspace import (
     ValidationError,
     check_nonconn,
     check_nontol,
-    constant_on,
     make_space,
     refute_chain_in_induced,
     tolerance_report,
@@ -31,17 +30,6 @@ def s1():
 
 def s2():
     return make_space({0: [{0, 1}], 1: [{0, 1, 2}], 2: [{2}]})
-
-
-def test_constant_on_examples():
-    assert constant_on(PI, frozenset({0, 1}))
-    assert not constant_on(PI, frozenset({0, 1, 2}))
-    assert constant_on(PI, frozenset({2}))
-
-
-def test_constant_on_requires_defined_labels():
-    with pytest.raises(ValidationError):
-        constant_on({0: "A"}, frozenset({0, 1}))
 
 
 def test_tolerance_report_s2():
