@@ -22,8 +22,10 @@ from .spaces import induced_space, make_space, validate_space
 
 
 def _read(path: str) -> str:
+    """The file's text as ``files`` parses it: decoded, line ends untouched."""
+    data = Path(path).read_bytes()
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 (byte {exc.start}: {exc.reason})") from None
 

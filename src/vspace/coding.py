@@ -75,20 +75,9 @@ class CodedSpaceConfig(Record):
 
     _fields = ("a", "b", "point_bound", "stage_bound")
 
-    def __init__(self, a: int, b: int, point_bound: int, stage_bound: int) -> None:
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "point_bound", point_bound)
-        object.__setattr__(self, "stage_bound", stage_bound)
-
 
 class CodedSpace(Record):
     _fields = ("space", "pi", "config")
-
-    def __init__(self, space: FiniteVSpace, pi: dict[int, str], config: CodedSpaceConfig) -> None:
-        object.__setattr__(self, "space", space)
-        object.__setattr__(self, "pi", pi)
-        object.__setattr__(self, "config", config)
 
 
 class RoundtripReport(Record):
@@ -102,24 +91,6 @@ class RoundtripReport(Record):
     _fields = (
         "labels_differ", "tolerance_ok", "witness_ok", "agreement_ok", "decoded_in", "mismatches", "witness"
     )
-
-    def __init__(
-        self,
-        labels_differ: bool,
-        tolerance_ok: bool,
-        witness_ok: bool,
-        agreement_ok: bool,
-        decoded_in: tuple[int, ...],
-        mismatches: tuple[tuple[int, bool, bool], ...],
-        witness: dict[int, int] | None,
-    ) -> None:
-        object.__setattr__(self, "labels_differ", labels_differ)
-        object.__setattr__(self, "tolerance_ok", tolerance_ok)
-        object.__setattr__(self, "witness_ok", witness_ok)
-        object.__setattr__(self, "agreement_ok", agreement_ok)
-        object.__setattr__(self, "decoded_in", decoded_in)
-        object.__setattr__(self, "mismatches", mismatches)
-        object.__setattr__(self, "witness", witness)
 
     @property
     def passed(self) -> bool:

@@ -68,10 +68,7 @@ class ConnectivityVerdict(Record):
     """
 
     _fields = ("connected", "witness")
-
-    def __init__(self, connected: bool, witness: dict[int, int] | None = None) -> None:
-        object.__setattr__(self, "connected", connected)
-        object.__setattr__(self, "witness", witness)
+    _defaults = {"witness": None}
 
 
 def require_search(engine: str, max_covers: int) -> None:
@@ -343,10 +340,10 @@ def is_connected(
 ) -> ConnectivityVerdict:
     """Decide whether a and b are connected (a chain under every cover).
 
-    Returns ``Connected`` or ``NotConnected`` with a witness cover that
-    admits no chain.  Raises BudgetExceededError rather than guessing
-    when the search space exceeds ``max_covers``: covers for ``brute``,
-    search nodes for ``pruned``.
+    Returns a ``ConnectivityVerdict``: connected, or not connected with
+    a witness cover that admits no chain.  Raises BudgetExceededError
+    rather than guessing when the search space exceeds ``max_covers``:
+    covers for ``brute``, search nodes for ``pruned``.
     """
     require_search(engine, max_covers)
     require_valid_space(space)

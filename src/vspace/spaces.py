@@ -33,11 +33,6 @@ class Violation(Record):
 
     _fields = ("kind", "point", "detail")
 
-    def __init__(self, kind: str, point: int | None, detail: str) -> None:
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "point", point)
-        object.__setattr__(self, "detail", detail)
-
     def __str__(self) -> str:
         where = "space" if self.point is None else f"point {self.point}"
         return f"{self.kind} ({where}): {self.detail}"
@@ -47,11 +42,7 @@ class VicinitySystem(Record):
     """The ordered vicinities of one point."""
 
     _fields = ("owner", "vicinities", "mode")
-
-    def __init__(self, owner: int, vicinities: tuple[frozenset[int], ...], mode: str = STRONG) -> None:
-        object.__setattr__(self, "owner", owner)
-        object.__setattr__(self, "vicinities", vicinities)
-        object.__setattr__(self, "mode", mode)
+    _defaults = {"mode": STRONG}
 
 
 class FiniteVSpace(Record):
@@ -118,10 +109,14 @@ def validate_system(
     if system.mode == STRONG:
         seen: dict[frozenset[int], int] = {}
         for i, vic in enumerate(system.vicinities):
-            if vic in seen:
-                out.append(Violation("duplicate-vicinity", p, f"vicinities {seen[vic]} and {i} are equal sets"))
+            try:
+                members = frozenset(vic)
+            except TypeError:  # an unhashable member, reported as member-out-of-range
+                continue
+            if members in seen:
+                out.append(Violation("duplicate-vicinity", p, f"vicinities {seen[members]} and {i} are equal sets"))
             else:
-                seen[vic] = i
+                seen[members] = i
     return out
 
 

@@ -41,25 +41,10 @@ class ToleranceReport(Record):
 
     _fields = ("violations", "tolerant_indices")
 
-    def __init__(self, violations: frozenset[int], tolerant_indices: dict[int, int]) -> None:
-        object.__setattr__(self, "violations", violations)
-        object.__setattr__(self, "tolerant_indices", tolerant_indices)
-
 
 class TheoremOutcome(Record):
     _fields = ("status", "reason", "violations", "witness")
-
-    def __init__(
-        self,
-        status: str,
-        reason: str | None = None,
-        violations: frozenset[int] | None = None,
-        witness: dict[int, int] | None = None,
-    ) -> None:
-        object.__setattr__(self, "status", status)
-        object.__setattr__(self, "reason", reason)
-        object.__setattr__(self, "violations", violations)
-        object.__setattr__(self, "witness", witness)
+    _defaults = {"reason": None, "violations": None, "witness": None}
 
 
 class RefutationTrace(Record):
@@ -71,11 +56,6 @@ class RefutationTrace(Record):
     """
 
     _fields = ("chain", "meeting_points", "label")
-
-    def __init__(self, chain: tuple[int, ...], meeting_points: tuple[int, ...], label: str) -> None:
-        object.__setattr__(self, "chain", chain)
-        object.__setattr__(self, "meeting_points", meeting_points)
-        object.__setattr__(self, "label", label)
 
 
 def tolerance_report(space: FiniteVSpace, pi: Labeling) -> ToleranceReport:

@@ -6,7 +6,9 @@ from pathlib import Path
 import pytest
 
 import vspace.coding as coding
+from vspace import ParseError
 from vspace.cli import main
+from vspace.files import parse_space
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -52,6 +54,30 @@ def test_non_utf8_input_is_a_parse_error(capsys, tmp_path):
     assert (code, out) == (2, "")
     assert err.startswith("error:") and err.count("\n") == 1
     assert "UTF-8" in err
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        b"vspace v1\nmode strong\npoints 2\nvic 0: 0\r1\nvic 1: 1\n",
+        b"vspace v1\rmode strong\rpoints 1\rvic 0: 0\r",
+        b"vspace v1\r\nmode strong\r\npoints 2\r\nvic 0: 0 1\r\nvic 1: 1\r\n",
+    ],
+    ids=["cr-inside-a-line", "cr-line-ends", "crlf-line-ends"],
+)
+def test_the_cli_reads_a_file_as_parse_space_does(capsys, tmp_path, data):
+    # Lines end only at LF; a CR is whitespace wherever it stands.
+    path = tmp_path / "space.vs"
+    path.write_bytes(data)
+    code, out, err = run(capsys, "validate", str(path))
+    try:
+        doc = parse_space(data.decode("utf-8"))
+    except ParseError as exc:
+        assert (code, out, err) == (2, "", f"error: {exc}\n")
+        assert "expected header" in err
+    else:
+        assert doc.space.systems[0].vicinities == (frozenset({0, 1}),)
+        assert (code, out, err) == (0, "valid\n", "")
 
 
 def test_connected_notconnected_with_witness_file(capsys, tmp_path):

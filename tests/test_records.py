@@ -5,6 +5,7 @@ another instance of the same class with equal fields, hashed by its field
 tuple, printed as ``Name(field=value, ...)``, and refusing assignment and
 deletion.
 """
+import inspect
 from types import MappingProxyType
 
 import pytest
@@ -55,6 +56,23 @@ RECORDS = [
 ]
 IDS = [cls.__name__ for cls, _ in RECORDS]
 
+# Each class's constructor parameters with their defaults, annotations
+# left out; all of them can be passed by position or by keyword.
+SIGNATURES = {
+    Violation: "(kind, point, detail)",
+    VicinitySystem: "(owner, vicinities, mode='strong')",
+    FiniteVSpace: "(num_points, systems, mode='strong')",
+    ConnectivityVerdict: "(connected, witness=None)",
+    ToleranceReport: "(violations, tolerant_indices)",
+    TheoremOutcome: "(status, reason=None, violations=None, witness=None)",
+    RefutationTrace: "(chain, meeting_points, label)",
+    CodedSpaceConfig: "(a, b, point_bound, stage_bound)",
+    CodedSpace: "(space, pi, config)",
+    RoundtripReport: "(labels_differ, tolerance_ok, witness_ok, agreement_ok, decoded_in, mismatches, witness)",
+    EnumerationOracle: "(entries, stage_bound)",
+    SpaceDocument: "(space, labels=None, a=None, b=None)",
+}
+
 
 @pytest.mark.parametrize("cls, fields", RECORDS, ids=IDS)
 def test_equal_fields_give_equal_records_with_equal_hashes(cls, fields):
@@ -74,6 +92,35 @@ def test_equal_fields_give_equal_records_with_equal_hashes(cls, fields):
 def test_a_different_class_with_the_same_fields_is_not_equal(cls, fields):
     other = type(cls.__name__, (cls,), {})(**fields)
     assert cls(**fields) != other and not cls(**fields) == other
+
+
+@pytest.mark.parametrize("cls, fields", RECORDS, ids=IDS)
+def test_constructor_signature(cls, fields):
+    parameters = list(inspect.signature(cls).parameters.values())
+    assert [p.name for p in parameters] == list(fields) == list(cls._fields)
+    unannotated = inspect.Signature([p.replace(annotation=inspect.Parameter.empty) for p in parameters])
+    assert str(unannotated) == SIGNATURES[cls]
+
+
+@pytest.mark.parametrize("cls, fields", RECORDS, ids=IDS)
+def test_constructor_argument_errors(cls, fields):
+    name = f"{cls.__name__}.__init__()"
+    first, *rest = fields
+    with pytest.raises(TypeError) as missing:
+        cls(**{key: fields[key] for key in rest})
+    assert str(missing.value) == f"{name} missing 1 required positional argument: '{first}'"
+    with pytest.raises(TypeError) as unknown:
+        cls(**fields, extra=None)
+    assert str(unknown.value) == f"{name} got an unexpected keyword argument 'extra'"
+    with pytest.raises(TypeError) as surplus:
+        cls(*fields.values(), None)
+    most = 1 + len(fields)
+    least = 1 + sum(p.default is inspect.Parameter.empty for p in inspect.signature(cls).parameters.values())
+    takes = f"{most}" if least == most else f"from {least} to {most}"
+    assert str(surplus.value) == f"{name} takes {takes} positional arguments but {most + 1} were given"
+    with pytest.raises(TypeError) as twice:
+        cls(fields[first], **fields)
+    assert str(twice.value) == f"{name} got multiple values for argument '{first}'"
 
 
 def test_repr_spells_out_every_field():

@@ -273,6 +273,14 @@ MALFORMED_SPACES = {
         lambda: FiniteVSpace(2, {0: VicinitySystem(0, ([0, [1]],), WEAK), 1: _system(1, {1}, mode=WEAK)}, WEAK),
         "member-out-of-range", 0, "vicinity 0 members [[1]] outside 0..1",
     ),
+    "strong-list-member": (
+        lambda: FiniteVSpace(2, {0: VicinitySystem(0, ([0, [1]],), STRONG), 1: _system(1, {1})}),
+        "member-out-of-range", 0, "vicinity 0 members [[1]] outside 0..1",
+    ),
+    "strong-list-duplicate": (
+        lambda: FiniteVSpace(1, {0: VicinitySystem(0, ([0], [0]), STRONG)}),
+        "duplicate-vicinity", 0, "vicinities 0 and 1 are equal sets",
+    ),
 }
 
 
@@ -282,6 +290,21 @@ def test_malformed_spaces_are_reported(case):
     assert any(
         v.kind == kind and v.point == point and detail in v.detail for v in validate_space(build())
     )
+
+
+def test_a_strong_system_compares_list_vicinities_as_sets():
+    space = FiniteVSpace(1, {0: VicinitySystem(0, ([0],), STRONG)})
+    assert validate_space(space) == []
+    assert is_connected(space, 0, 0).connected
+    assert weak_from_strong(space.systems[0]).vicinities == ([0],)
+    twice = MALFORMED_SPACES["strong-list-duplicate"][0]()
+    assert [str(v) for v in validate_space(twice)] == [
+        "duplicate-vicinity (point 0): vicinities 0 and 1 are equal sets"
+    ]
+    nested = MALFORMED_SPACES["strong-list-member"][0]()
+    assert [str(v) for v in validate_space(nested)] == [
+        "member-out-of-range (point 0): vicinity 0 members [[1]] outside 0..1"
+    ]
 
 
 def test_a_shared_stray_vicinity_is_reported_at_each_point():
