@@ -102,19 +102,18 @@ def _bounded_entries(oracle: EnumerationOracle, config: CodedSpaceConfig) -> dic
     return {x: s for x, s in oracle.entries.items() if s <= config.stage_bound}
 
 
-def _role(entries: dict[int, int], y: int) -> tuple[int, int, str | None]:
-    """Read y as code(x, s) and give its role as an appearance code.
+def _role(entries: dict[int, int], x: int, s: int) -> str | None:
+    """The role of code(x, s) as an appearance code.
 
-    The role is LABEL_A when x is newly enumerated at s (y lies in V_a),
-    LABEL_B when s >= 1 and x is newly enumerated at s - 1 (y lies in
-    V_b), and None otherwise.
+    The role is LABEL_A when x is newly enumerated at s (the code lies in
+    V_a), LABEL_B when s >= 1 and x is newly enumerated at s - 1 (it lies
+    in V_b), and None otherwise.
     """
-    x, s = unpair(y)
     if entries.get(x) == s:
-        return x, s, LABEL_A
+        return LABEL_A
     if s >= 1 and entries.get(x) == s - 1:
-        return x, s, LABEL_B
-    return x, s, None
+        return LABEL_B
+    return None
 
 
 def _labeling(
@@ -122,7 +121,9 @@ def _labeling(
 ) -> tuple[dict[int, str], dict[str, list[int]], list[list[int]]]:
     """pi, the members of V_a and V_b by label, and each x's codes of stage <= T.
 
-    One pass reads each y = code(x, s) in 0..M once, with its role.  A
+    One pass reads each y = code(x, s) in 0..M once, with its role,
+    diagonal by diagonal: on diagonal d = x + s, y runs up from
+    d(d+1)/2 as x runs up from 0, so y ascends without unpairing.  A
     role puts y into V_a or V_b and is y's label; otherwise y copies
     pi(x), x < y, except at the bases pi(a) = 0, pi(b) = 1, pi(0) = 0.
     Codes of stages s <= T join x's list in ascending s.
@@ -131,13 +132,18 @@ def _labeling(
     pi = {0: LABEL_A, a: LABEL_A, b: LABEL_B}
     endpoint_vics: dict[str, list[int]] = {LABEL_A: [a], LABEL_B: [b]}
     codes: list[list[int]] = [[] for _ in range(m + 1)]
-    for y in range(m + 1):
-        x, s, role = _role(entries, y)
-        if role is not None:
-            endpoint_vics[role].append(y)
-        pi.setdefault(y, pi[x] if role is None else role)
-        if s <= t:
-            codes[x].append(y)
+    y = d = 0
+    while y <= m:  # y = d(d+1)/2, the code of (0, d)
+        for x in range(min(d, m - y) + 1):
+            s = d - x
+            role = _role(entries, x, s)
+            if role is not None:
+                endpoint_vics[role].append(y)
+            pi.setdefault(y, pi[x] if role is None else role)
+            if s <= t:
+                codes[x].append(y)
+            y += 1
+        d += 1
     return pi, endpoint_vics, codes
 
 
@@ -174,7 +180,8 @@ def validate_config(oracle: EnumerationOracle, config: CodedSpaceConfig) -> list
     for e, name in ((a, "a"), (b, "b")):
         if e in entries:
             problems.append(f"endpoint {name}={e} is enumerated (stage {entries[e]})")
-        x, s, role = _role(entries, e)
+        x, s = unpair(e)
+        role = _role(entries, x, s)
         if role is not None:
             problems.append(
                 f"endpoint {name}={e} is the code of ({x},{s}) with {x} newly enumerated at {entries[x]}"
@@ -220,6 +227,9 @@ def build_coded_space(oracle: EnumerationOracle, config: CodedSpaceConfig) -> Co
     }
     for x in range(m + 1):
         if x in (a, b):
+            continue
+        if not codes[x]:  # code(x, 0) > M: the one vicinity {x}
+            systems[x] = VicinitySystem(x, (frozenset((x,)),), STRONG)
             continue
         # codes[x] is code(x, 0..k-1), the codes of x within 0..M, and
         # V_{x,n} = V_{x,n+1} + {code(x, n)}: grow the chain from n = T

@@ -103,7 +103,12 @@ def chosen_vicinities(space: FiniteVSpace, cover: Cover) -> list[frozenset[int]]
         raise ValidationError(f"cover missing points {missing}")
     if stray := _not_points(cover, space.num_points):
         raise ValidationError(f"cover mentions unknown points {stray}")
-    return [resolve_choice(space.systems[p], cover[p]) for p in space.points]
+    chosen = []
+    for p in space.points:
+        system, i = space.systems[p], cover[p]
+        vics = system.vicinities
+        chosen.append(vics[i] if type(i) is int and 0 <= i < len(vics) else resolve_choice(system, i))
+    return chosen
 
 
 def overlap_graph(space: FiniteVSpace, cover: Cover) -> dict[int, set[int]]:

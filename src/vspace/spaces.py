@@ -106,7 +106,7 @@ def validate_system(
         if num_points is not None:
             if stray := _not_points(vic, num_points):
                 out.append(Violation("member-out-of-range", p, f"vicinity {i} members {stray} outside 0..{num_points - 1}"))
-    if system.mode == STRONG:
+    if system.mode == STRONG and len(system.vicinities) > 1:
         seen: dict[frozenset[int], int] = {}
         for i, vic in enumerate(system.vicinities):
             try:
@@ -136,11 +136,18 @@ def validate_space(space: FiniteVSpace) -> list[Violation]:
     # strays, so the violations and their order stay the same.
     vicinities = {id(v): v for key, system in space.systems.items() if key not in stray for v in system.vicinities}
     num_points = space.num_points if _members_stray(vicinities.values(), space.num_points) else None
-    for key in sorted(space.systems, key=_point_order):
+    # validate_system finds nothing in a system of one vicinity that holds
+    # its owner, when the owner is its key, nothing strays and the modes
+    # agree: accept such a system in one check.
+    clean = num_points is None and space.mode in (WEAK, STRONG)
+    for key in sorted(space.systems, key=_point_order) if stray else sorted(space.systems):
         if key in stray:
             out.append(Violation("unknown-point", key, f"system keyed by point outside 0..{space.num_points - 1}"))
             continue
         system = space.systems[key]
+        vics = system.vicinities
+        if clean and system.owner == key and system.mode == space.mode and len(vics) == 1 and key in vics[0]:
+            continue
         if system.owner != key:
             out.append(Violation("owner-mismatch", key, f"system owner is {system.owner}"))
         out.extend(validate_system(system, num_points, space.mode))
@@ -180,9 +187,13 @@ def require_points(space: FiniteVSpace, points: Iterable[int], what: str) -> Non
 
 
 def _require_valid_system(system: VicinitySystem) -> None:
+    """Reject a system with a violation or with a member that is not an int (a bool is not) >= 0."""
     violations = validate_system(system)
     if violations:
         raise ValidationError("invalid system: " + "; ".join(str(v) for v in violations))
+    for i, vic in enumerate(system.vicinities):
+        if bad := [m for m in vic if not (type(m) is int and m >= 0)]:
+            raise ValidationError(f"invalid system: vicinity {i} members {sorted(bad, key=_point_order)} are not points")
 
 
 def require_total_labeling(pi: Labeling, points: Iterable[int]) -> None:
@@ -216,7 +227,10 @@ def strong_from_weak(system: VicinitySystem) -> VicinitySystem:
     if system.mode != WEAK:
         raise ValidationError("strong_from_weak expects a weak system")
     _require_valid_system(system)
-    return VicinitySystem(system.owner, tuple(dict.fromkeys(system.vicinities)), STRONG)
+    first: dict[frozenset[int], Iterable[int]] = {}
+    for vic in system.vicinities:
+        first.setdefault(frozenset(vic), vic)
+    return VicinitySystem(system.owner, tuple(first.values()), STRONG)
 
 
 def induced_space(points: Iterable[int], pi: Labeling) -> FiniteVSpace:

@@ -374,6 +374,30 @@ def test_cover_functions_reject_non_int_indices(index):
         overlap_graph(s1(), cover)
 
 
+@pytest.mark.parametrize("check", [chain_exists, verify_witness])
+@pytest.mark.parametrize(
+    "index, message",
+    [
+        (-1, "vicinity index -1 for point 1 is not a non-negative int"),
+        (True, "vicinity index True for point 1 is not a non-negative int"),
+        ("1", "vicinity index '1' for point 1 is not a non-negative int"),
+        (2, r"index 2 out of range for point 1 \(strong system of length 2\)"),
+    ],
+    ids=repr,
+)
+def test_chain_checks_word_bad_indices(check, index, message):
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        check(s1(), {0: 0, 1: index, 2: 0}, 0, 2)
+
+
+def test_chain_checks_read_a_weak_index_past_the_end_as_vicinity_zero():
+    weak = make_space({0: [{0}], 1: [{1}, {1, 2}], 2: [{2, 0}, {2}]}, WEAK)
+    assert chain_exists(weak, {0: 0, 1: 1, 2: 5}, 0, 1) == [0, 2, 1]
+    assert chain_exists(weak, {0: 0, 1: 5, 2: 1}, 0, 1) is None
+    assert verify_witness(weak, {0: 0, 1: 5, 2: 1}, 0, 1)
+    assert not verify_witness(weak, {0: 0, 1: 1, 2: 5}, 0, 1)
+
+
 def test_resolve_choice_rejects_a_negative_index():
     with pytest.raises(ValidationError, match="vicinity index -1 for point 0"):
         resolve_choice(s1().systems[0], -1)

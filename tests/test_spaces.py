@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given
@@ -155,6 +156,23 @@ def test_strong_from_weak_collapses_all_duplicates():
     vic = frozenset({0, 1})
     system = VicinitySystem(0, (vic, vic, vic), WEAK)
     assert strong_from_weak(system).vicinities == (vic,)
+
+
+def test_strong_from_weak_dedups_list_vicinities_keeping_first():
+    assert strong_from_weak(VicinitySystem(0, ([0],), WEAK)).vicinities == ([0],)
+    system = VicinitySystem(0, ([0, 1], frozenset({0}), [1, 0], [0]), WEAK)
+    assert strong_from_weak(system).vicinities == ([0, 1], frozenset({0}))
+
+
+@pytest.mark.parametrize(
+    "convert, mode",
+    [(weak_from_strong, STRONG), (strong_from_weak, WEAK)],
+    ids=["weak_from_strong", "strong_from_weak"],
+)
+@pytest.mark.parametrize("member", [[1], -1, True], ids=repr)
+def test_mode_conversions_reject_members_that_are_not_points(convert, mode, member):
+    with pytest.raises(ValidationError, match=re.escape(f"invalid system: vicinity 1 members [{member!r}] are not points")):
+        convert(VicinitySystem(0, ([0], [0, member]), mode))
 
 
 @st.composite
@@ -314,20 +332,38 @@ def test_a_shared_stray_vicinity_is_reported_at_each_point():
 
 
 def test_validate_space_matches_validate_system_in_key_order():
-    # Members are range-checked once per vicinity object; the violations
-    # must still be those of validate_system on each system, in order.
-    for seed in range(500):
+    # Members are range-checked once per vicinity object, and a system of
+    # one vicinity that holds its key is accepted in one check; the
+    # violations must still be the space's own, then those of
+    # validate_system on each system, in key order.
+    for seed in range(1000):
         rng = random.Random(31_000 + seed)
         n = rng.randint(1, 6)
         mode = rng.choice([STRONG, WEAK])
-        pool = [frozenset(rng.sample(range(n + 2), rng.randint(0, 3))) for _ in range(4)]
-        systems = {
-            p: VicinitySystem(p, tuple(rng.choice(pool) for _ in range(rng.randint(0, 3))), mode)
-            for p in range(n)
-        }
-        space = FiniteVSpace(n, systems, mode)
-        expected = [v for p in range(n) for v in validate_system(systems[p], n, mode)]
-        assert validate_space(space) == expected, seed
+        space_mode = rng.choice([mode] * 6 + [STRONG if mode == WEAK else WEAK, "odd"])
+        # Most spaces keep every member in range, so that no member strays.
+        top = n + 2 if rng.random() < 0.3 else n
+        pool = [frozenset(rng.sample(range(top), rng.randint(0, min(3, top)))) for _ in range(4)]
+        keys = [p for p in range(n) if rng.random() < 0.9] + rng.sample([n, -1, True, False, "x"], rng.randint(0, 2))
+        systems = {}
+        for key in keys:
+            owner = rng.choice([key, key, key, rng.randrange(n), True])
+            vics = [rng.choice(pool) for _ in range(1 if rng.random() < 0.6 else rng.randint(0, 3))]
+            vics = [v | {owner} if rng.random() < 0.7 else v for v in vics]
+            vics = [sorted(v, key=repr) if rng.random() < 0.2 else v for v in vics]
+            system_mode = rng.choice([mode] * 8 + [STRONG if mode == WEAK else WEAK, "odd"])
+            systems[key] = VicinitySystem(owner, tuple(vics), system_mode)
+        expected = [spaces.Violation("bad-mode", None, "unknown mode 'odd'")] if space_mode == "odd" else []
+        expected += [spaces.Violation("missing-system", p, "point has no vicinity system") for p in range(n) if p not in systems]
+        for key in sorted(systems, key=spaces._point_order):
+            system = systems[key]
+            if not (type(key) is int and 0 <= key < n):
+                expected.append(spaces.Violation("unknown-point", key, f"system keyed by point outside 0..{n - 1}"))
+                continue
+            if system.owner != key:
+                expected.append(spaces.Violation("owner-mismatch", key, f"system owner is {system.owner}"))
+            expected += validate_system(system, n, space_mode)
+        assert validate_space(FiniteVSpace(n, systems, space_mode)) == expected, seed
 
 
 def test_is_connected_reports_non_int_system_keys():
