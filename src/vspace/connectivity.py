@@ -81,18 +81,18 @@ def require_search(engine: str, max_covers: int) -> None:
 
 def resolve_choice(system: VicinitySystem, index: int) -> frozenset[int]:
     """The vicinity set a cover index denotes, honouring weak padding."""
+    if type(index) is int and 0 <= index < len(system.vicinities):
+        return system.vicinities[index]
     if not system.vicinities:
         raise ValidationError(f"point {system.owner} has an empty system")
     if type(index) is not int or index < 0:
         raise ValidationError(f"vicinity index {index!r} for point {system.owner} is not a non-negative int")
-    if index >= len(system.vicinities):
-        if system.mode == WEAK:
-            return system.vicinities[0]
-        raise ValidationError(
-            f"index {index} out of range for point {system.owner} "
-            f"(strong system of length {len(system.vicinities)})"
-        )
-    return system.vicinities[index]
+    if system.mode == WEAK:  # past the end: the padding by vicinity 0
+        return system.vicinities[0]
+    raise ValidationError(
+        f"index {index} out of range for point {system.owner} "
+        f"(strong system of length {len(system.vicinities)})"
+    )
 
 
 def chosen_vicinities(space: FiniteVSpace, cover: Cover) -> list[frozenset[int]]:
@@ -103,12 +103,7 @@ def chosen_vicinities(space: FiniteVSpace, cover: Cover) -> list[frozenset[int]]
         raise ValidationError(f"cover missing points {missing}")
     if stray := _not_points(cover, space.num_points):
         raise ValidationError(f"cover mentions unknown points {stray}")
-    chosen = []
-    for p in space.points:
-        system, i = space.systems[p], cover[p]
-        vics = system.vicinities
-        chosen.append(vics[i] if type(i) is int and 0 <= i < len(vics) else resolve_choice(system, i))
-    return chosen
+    return [resolve_choice(space.systems[p], cover[p]) for p in space.points]
 
 
 def overlap_graph(space: FiniteVSpace, cover: Cover) -> dict[int, set[int]]:

@@ -13,6 +13,7 @@ the result; ``systems`` is read-only, so it cannot go stale.
 """
 from __future__ import annotations
 
+import math
 from functools import cached_property
 from itertools import chain
 from types import MappingProxyType
@@ -106,7 +107,7 @@ def validate_system(
         if num_points is not None:
             if stray := _not_points(vic, num_points):
                 out.append(Violation("member-out-of-range", p, f"vicinity {i} members {stray} outside 0..{num_points - 1}"))
-    if system.mode == STRONG and len(system.vicinities) > 1:
+    if system.mode == STRONG:
         seen: dict[frozenset[int], int] = {}
         for i, vic in enumerate(system.vicinities):
             try:
@@ -118,6 +119,19 @@ def validate_system(
             else:
                 seen[members] = i
     return out
+
+
+def _trivially_valid(system: VicinitySystem, key: int, mode: str) -> bool:
+    """Whether the system under key has one vicinity and passes, by one
+    check, validate_system and validate_space's owner check in a space of
+    mode ``mode`` whose members all are points.  Mirror here any check
+    added to those.
+    """
+    vics = system.vicinities
+    return (
+        mode in (WEAK, STRONG) and system.mode == mode and system.owner == key
+        and len(vics) == 1 and key in vics[0]
+    )
 
 
 def validate_space(space: FiniteVSpace) -> list[Violation]:
@@ -136,17 +150,12 @@ def validate_space(space: FiniteVSpace) -> list[Violation]:
     # strays, so the violations and their order stay the same.
     vicinities = {id(v): v for key, system in space.systems.items() if key not in stray for v in system.vicinities}
     num_points = space.num_points if _members_stray(vicinities.values(), space.num_points) else None
-    # validate_system finds nothing in a system of one vicinity that holds
-    # its owner, when the owner is its key, nothing strays and the modes
-    # agree: accept such a system in one check.
-    clean = num_points is None and space.mode in (WEAK, STRONG)
     for key in sorted(space.systems, key=_point_order) if stray else sorted(space.systems):
         if key in stray:
             out.append(Violation("unknown-point", key, f"system keyed by point outside 0..{space.num_points - 1}"))
             continue
         system = space.systems[key]
-        vics = system.vicinities
-        if clean and system.owner == key and system.mode == space.mode and len(vics) == 1 and key in vics[0]:
+        if num_points is None and _trivially_valid(system, key, space.mode):
             continue
         if system.owner != key:
             out.append(Violation("owner-mismatch", key, f"system owner is {system.owner}"))
@@ -174,9 +183,9 @@ def _point_order(p) -> tuple:
     return (0, p) if type(p) is int else (1, repr(p))
 
 
-def _not_points(items: Iterable, num_points: int) -> list:
+def _not_points(items: Iterable, num_points: float = math.inf) -> list:
     """The one point rule: the items that are not ints (a bool is not) in
-    0..num_points-1, in ``_point_order``."""
+    0..num_points-1 (>= 0 without a bound), in ``_point_order``."""
     bad = [p for p in items if not (type(p) is int and 0 <= p < num_points)]
     return sorted(bad, key=_point_order) if bad else bad
 
@@ -192,8 +201,8 @@ def _require_valid_system(system: VicinitySystem) -> None:
     if violations:
         raise ValidationError("invalid system: " + "; ".join(str(v) for v in violations))
     for i, vic in enumerate(system.vicinities):
-        if bad := [m for m in vic if not (type(m) is int and m >= 0)]:
-            raise ValidationError(f"invalid system: vicinity {i} members {sorted(bad, key=_point_order)} are not points")
+        if bad := _not_points(vic):
+            raise ValidationError(f"invalid system: vicinity {i} members {bad} are not points")
 
 
 def require_total_labeling(pi: Labeling, points: Iterable[int]) -> None:
