@@ -92,9 +92,20 @@ def validate_system(
     num_points: int | None = None,
     mode: str | None = None,
 ) -> list[Violation]:
-    """All invariant violations of one system (empty list means valid)."""
-    out: list[Violation] = []
+    """All invariant violations of one system (empty list means valid).
+
+    A system of one vicinity that holds its owner, checked with no range
+    and in a valid ``mode`` equal to its own, is accepted at once: its
+    mode is then valid and matches, it is not empty, its one vicinity
+    holds the owner and cannot equal another, so no rule below fires.
+    """
     p = system.owner
+    if (
+        num_points is None and mode in (WEAK, STRONG) and system.mode == mode
+        and len(system.vicinities) == 1 and p in system.vicinities[0]
+    ):
+        return []
+    out: list[Violation] = []
     if system.mode not in (WEAK, STRONG):
         out.append(Violation("bad-mode", p, f"unknown mode {system.mode!r}"))
     if mode is not None and system.mode != mode:
@@ -121,19 +132,6 @@ def validate_system(
     return out
 
 
-def _trivially_valid(system: VicinitySystem, key: int, mode: str) -> bool:
-    """Whether the system under key has one vicinity and passes, by one
-    check, validate_system and validate_space's owner check in a space of
-    mode ``mode`` whose members all are points.  Mirror here any check
-    added to those.
-    """
-    vics = system.vicinities
-    return (
-        mode in (WEAK, STRONG) and system.mode == mode and system.owner == key
-        and len(vics) == 1 and key in vics[0]
-    )
-
-
 def validate_space(space: FiniteVSpace) -> list[Violation]:
     """All invariant violations of a candidate space (empty list = valid)."""
     if not (type(space.num_points) is int and space.num_points >= 0):
@@ -155,8 +153,6 @@ def validate_space(space: FiniteVSpace) -> list[Violation]:
             out.append(Violation("unknown-point", key, f"system keyed by point outside 0..{space.num_points - 1}"))
             continue
         system = space.systems[key]
-        if num_points is None and _trivially_valid(system, key, space.mode):
-            continue
         if system.owner != key:
             out.append(Violation("owner-mismatch", key, f"system owner is {system.owner}"))
         out.extend(validate_system(system, num_points, space.mode))
