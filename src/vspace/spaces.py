@@ -94,11 +94,15 @@ def validate_system(
 ) -> list[Violation]:
     """All invariant violations of one system (empty list means valid).
 
+    A value that is not a ``VicinitySystem`` with a tuple or list of
+    vicinities gets one ``bad-system`` violation and is read no further.
     A system of one vicinity that holds its owner, checked with no range
     and in a valid ``mode`` equal to its own, is accepted at once: its
     mode is then valid and matches, it is not empty, its one vicinity
     holds the owner and cannot equal another, so no rule below fires.
     """
+    if fault := _misshapen(system):
+        return [Violation("bad-system", getattr(system, "owner", None), fault)]
     p = system.owner
     if (
         num_points is None and mode in (WEAK, STRONG) and system.mode == mode
@@ -132,6 +136,15 @@ def validate_system(
     return out
 
 
+def _misshapen(system) -> str:
+    """Why validation cannot read ``system`` as a system ('' if it can)."""
+    if not isinstance(system, VicinitySystem):
+        return f"system is a {type(system).__name__}, not a VicinitySystem"
+    if not isinstance(system.vicinities, (tuple, list)):
+        return f"vicinities are a {type(system.vicinities).__name__}, not a tuple or list"
+    return ""
+
+
 def validate_space(space: FiniteVSpace) -> list[Violation]:
     """All invariant violations of a candidate space (empty list = valid)."""
     if not (type(space.num_points) is int and space.num_points >= 0):
@@ -143,14 +156,21 @@ def validate_space(space: FiniteVSpace) -> list[Violation]:
         if p not in space.systems:
             out.append(Violation("missing-system", p, "point has no vicinity system"))
     stray = _not_points(space.systems, space.num_points)
+    # A key that is not a point, or whose system validation cannot read,
+    # gets its one violation and is read no further.
+    unread = {key: Violation("unknown-point", key, f"system keyed by point outside 0..{space.num_points - 1}") for key in stray}
+    unread.update(
+        (key, Violation("bad-system", key, fault))
+        for key, system in space.systems.items() if key not in unread and (fault := _misshapen(system))
+    )
     # Read each distinct vicinity object once (an induced space shares one
     # per label class), and range-check members per vicinity only if one
     # strays, so the violations and their order stay the same.
-    vicinities = {id(v): v for key, system in space.systems.items() if key not in stray for v in system.vicinities}
+    vicinities = {id(v): v for key, system in space.systems.items() if key not in unread for v in system.vicinities}
     num_points = space.num_points if _members_stray(vicinities.values(), space.num_points) else None
     for key in sorted(space.systems, key=_point_order) if stray else sorted(space.systems):
-        if key in stray:
-            out.append(Violation("unknown-point", key, f"system keyed by point outside 0..{space.num_points - 1}"))
+        if key in unread:
+            out.append(unread[key])
             continue
         system = space.systems[key]
         if system.owner != key:

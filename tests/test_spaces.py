@@ -366,6 +366,48 @@ def test_validate_space_matches_validate_system_in_key_order():
         assert validate_space(FiniteVSpace(n, systems, space_mode)) == expected, seed
 
 
+ONE_PREMISE_BROKEN = {
+    # (system, num_points, mode): what the full rules of validate_system
+    # return, for a system that misses one premise of its one-check accept.
+    "owner-missing": ((_system(0, {1}), None, STRONG), ["owner-not-in-vicinity (point 0): vicinity 0 does not contain its owner"]),
+    "mode-mismatch": ((_system(0, {0}, mode=WEAK), None, STRONG), ["mode-mismatch (point 0): system mode weak != space mode strong"]),
+    "mode-none": ((_system(0, {0}, mode=None), None, None), ["bad-mode (point 0): unknown mode None"]),
+    "mode-odd": ((_system(0, {0}, mode="odd"), None, "odd"), ["bad-mode (point 0): unknown mode 'odd'"]),
+    "stray-member": ((_system(0, {0, 5}), 1, STRONG), ["member-out-of-range (point 0): vicinity 0 members [5] outside 0..0"]),
+    "two-vicinities": (
+        (VicinitySystem(0, ([0], [0]), STRONG), None, STRONG),
+        ["duplicate-vicinity (point 0): vicinities 0 and 1 are equal sets"],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ONE_PREMISE_BROKEN))
+def test_one_vicinity_accept_needs_every_premise(case):
+    args, expected = ONE_PREMISE_BROKEN[case]
+    assert [str(v) for v in validate_system(*args)] == expected
+
+
+MISSHAPEN_SYSTEMS = {
+    "list-system": ([frozenset({0})], "system is a list, not a VicinitySystem"),
+    "none-vicinities": (VicinitySystem(1, None), "vicinities are a NoneType, not a tuple or list"),
+    "set-of-one": (VicinitySystem(0, {frozenset({0})}), "vicinities are a set, not a tuple or list"),
+    "set-of-two": (VicinitySystem(0, {frozenset({0}), frozenset({0, 1})}), "vicinities are a set, not a tuple or list"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MISSHAPEN_SYSTEMS))
+def test_a_misshapen_system_is_one_bad_system_violation(case):
+    # The none-vicinities system also names the wrong owner, which is not read.
+    system, detail = MISSHAPEN_SYSTEMS[case]
+    space = FiniteVSpace(2, {0: system, 1: _system(1, {1}), 5: system})
+    assert [str(v) for v in validate_space(space)] == [
+        f"bad-system (point 0): {detail}", "unknown-point (point 5): system keyed by point outside 0..1"
+    ]
+    assert [(v.kind, v.detail) for v in validate_system(system)] == [("bad-system", detail)]
+    with pytest.raises(ValidationError, match=r"invalid space: bad-system \(point 0\)"):
+        is_connected(space, 0, 1)
+
+
 def test_is_connected_reports_non_int_system_keys():
     with pytest.raises(ValidationError, match=r"invalid space: unknown-point \(point x\)"):
         is_connected(MALFORMED_SPACES["str-key"][0](), 0, 0)
