@@ -11,13 +11,13 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "coding": """CodedSpace CodedSpaceConfig RoundtripReport build_coded_space
         decode_from_cover pair unpair validate_config verify_roundtrip""",
-    "connectivity": "ConnectivityVerdict chain_exists is_connected overlap_graph verify_witness",
+    "connectivity": "ConnectivityVerdict chain_exists is_connected verify_witness",
     "errors": "DEFAULT_MAX_COVERS BudgetExceededError CodingConfigError ParseError ValidationError VSpaceError",
-    "oracles": "DECJZ HALT INC EnumerationOracle machine_enumeration member_at newly_at run_program",
+    "oracles": "DECJZ HALT INC EnumerationOracle machine_enumeration run_program",
     "spaces": """STRONG WEAK FiniteVSpace Labeling VicinitySystem Violation induced_space
-        make_space strong_from_weak validate_space validate_system weak_from_strong""",
-    "tolerance": """HOLDS NOT_APPLICABLE REFUTED RefutationTrace TheoremOutcome ToleranceReport
-        check_nonconn check_nontol refute_chain_in_induced tolerance_report tolerant_cover""",
+        make_space validate_space validate_system""",
+    "tolerance": """HOLDS NOT_APPLICABLE REFUTED TheoremOutcome ToleranceReport
+        check_nonconn check_nontol tolerance_report tolerant_cover""",
 }
 # Each public name and the submodule that defines it.
 _HOMES = {name: home for home, names in _EXPORTS.items() for name in names.split()}

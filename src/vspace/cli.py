@@ -170,13 +170,14 @@ def cmd_code_decode(args) -> int:
         raise VSpaceError("the space file must carry 'a P' and 'b P' lines")
     cover = files.parse_cover(_read(args.cover))
     decoded = coding.decode_from_cover(doc.space, cover, doc.a, doc.b)
+    # After the decode, whose errors come first, and before any output.
+    oracle = None if args.oracle is None else files.parse_oracle(_read(args.oracle))
     print("decoded")
     for x in sorted(decoded):
         if decoded[x]:
             print(f"in {x}")
-    if args.oracle is None:
+    if oracle is None:
         return 0
-    oracle = files.parse_oracle(_read(args.oracle))
     mismatches = coding.oracle_mismatches(decoded, oracle.entries)
     if not mismatches:
         print("agreement ok")

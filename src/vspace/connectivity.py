@@ -5,16 +5,15 @@ A cover picks one vicinity per point.  Two points are connected when
 vicinities intersect.  A cover admitting no such chain is a witness that
 the points are not connected.
 
-Under one given cover, ``_index`` maps each member to the points whose
-chosen set holds it, so ``chain_exists``, ``verify_witness`` and
-``overlap_graph`` take time linear in the size of the cover.  Both
-engines read one compiled form: per point, a dict from each distinct
-vicinity set, as an int bitmask (bit m set iff m is a member), to its
-first original index.  Identical sets collapse (they induce identical
-overlap graphs); witnesses use the original indices.  Masks meet iff
-they share a bit; brute checks each cover by closing a's mask under
-the masks that meet it, as its covers are too small to repay building
-an index.
+Under one given cover, ``_chain`` indexes each member to the points
+whose chosen set holds it, so ``chain_exists`` and ``verify_witness``
+take time linear in the size of the cover.  Both engines read one
+compiled form: per point, a dict from each distinct vicinity set, as an
+int bitmask (bit m set iff m is a member), to its first original index.
+Identical sets collapse (they induce identical overlap graphs);
+witnesses use the original indices.  Masks meet iff they share a bit;
+brute checks each cover by closing a's mask under the masks that meet
+it, as its covers are too small to repay building an index.
 
 * ``brute`` enumerates covers in lexicographic order of (point id,
   vicinity index) and returns the first witness found, so its witness is
@@ -95,33 +94,18 @@ def resolve_choice(system: VicinitySystem, index: int) -> frozenset[int]:
     )
 
 
-def chosen_vicinities(space: FiniteVSpace, cover: Cover) -> list[frozenset[int]]:
-    """Each point's chosen vicinity set, by point; validates the space, then the cover."""
-    require_valid_space(space)
-    missing = [p for p in space.points if p not in cover]
-    if missing:
-        raise ValidationError(f"cover missing points {missing}")
-    if stray := _not_points(cover, space.num_points):
-        raise ValidationError(f"cover mentions unknown points {stray}")
-    return [resolve_choice(space.systems[p], cover[p]) for p in space.points]
-
-
-def overlap_graph(space: FiniteVSpace, cover: Cover) -> dict[int, set[int]]:
-    """Undirected graph with an edge wherever two chosen vicinities meet."""
-    chosen = chosen_vicinities(space, cover)
-    groups, holders = _index(chosen)
-    # The points of a group share their neighbours.
-    meets = {key: {y for m in chosen[ps[0]] for held in holders[m] for y in held} for key, ps in groups.items()}
-    return {x: meets[id(vic)] - {x} for x, vic in enumerate(chosen)}
-
-
 def chain_exists(space: FiniteVSpace, cover: Cover, a: int, b: int) -> list[int] | None:
     """Shortest chain from a to b under the cover, or None.
 
     a == b yields the length-zero chain [a].  Ties are broken by visiting
     neighbours in ascending order, so the result is deterministic.
     """
-    chosen = chosen_vicinities(space, cover)
+    require_valid_space(space)
+    if missing := [p for p in space.points if p not in cover]:
+        raise ValidationError(f"cover missing points {missing}")
+    if stray := _not_points(cover, space.num_points):
+        raise ValidationError(f"cover mentions unknown points {stray}")
+    chosen = [resolve_choice(space.systems[p], cover[p]) for p in space.points]
     require_points(space, (a, b), "endpoints")
     return _chain(chosen, a, b)
 
@@ -131,12 +115,19 @@ def verify_witness(space: FiniteVSpace, cover: Cover, a: int, b: int) -> bool:
     return chain_exists(space, cover, a, b) is None
 
 
-def _index(chosen: Sequence[Iterable[int]]) -> tuple[dict[int, list[int]], list[list[list[int]]]]:
-    """By the id of each distinct chosen set, the points choosing it in
-    ascending order (a group); and for each member, the groups whose set
-    holds it.  An induced space shares one set per label class, so its
-    index is linear in n.  Members must be points.
+def _chain(chosen: Sequence[Iterable[int]], a: int, b: int) -> list[int] | None:
+    """Shortest chain from a to b over the chosen sets, or None.  Two
+    points are joined when their sets meet, and neighbours are visited
+    in ascending order, so ties are broken the same way every time.
+
+    ``holders[m]`` lists the groups (the points choosing one set object)
+    whose set holds m, a point; an induced space shares one set per label
+    class, so this index is linear in n.  Each member and group is read
+    once (the index empties as it is read), and a point whose set was
+    already expanded is skipped: its neighbours have all been visited.
     """
+    if a == b:
+        return [a]
     groups: dict[int, list[int]] = {}
     for p, vic in enumerate(chosen):
         groups.setdefault(id(vic), []).append(p)
@@ -144,21 +135,6 @@ def _index(chosen: Sequence[Iterable[int]]) -> tuple[dict[int, list[int]], list[
     for group in groups.values():
         for m in chosen[group[0]]:
             holders[m].append(group)
-    return groups, holders
-
-
-def _chain(chosen: Sequence[Iterable[int]], a: int, b: int) -> list[int] | None:
-    """Shortest chain from a to b over the chosen sets, or None.  Two
-    points are joined when their sets meet, and neighbours are visited
-    in ascending order, so ties are broken the same way every time.
-
-    Each member and each group is read once (the index is emptied as it
-    is read), and a point whose set was already expanded is skipped:
-    its neighbours have all been visited.
-    """
-    if a == b:
-        return [a]
-    _, holders = _index(chosen)
     parent = [-1] * len(chosen)
     parent[a] = a
     expanded: set[int] = set()  # ids of the sets expanded

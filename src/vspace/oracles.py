@@ -58,24 +58,6 @@ def _check_stage_bound(stage_bound: int) -> None:
         raise ValidationError(f"stage bound must be non-negative and an int, got {stage_bound!r}")
 
 
-def _check_stage(oracle: EnumerationOracle, s: int) -> None:
-    if type(s) is not int or not 0 <= s <= oracle.stage_bound:
-        raise ValidationError(f"stage {s!r} is not an int in 0..{oracle.stage_bound}")
-
-
-def member_at(oracle: EnumerationOracle, x: int, t: int) -> bool:
-    """Cumulative membership: enumerated at some stage <= t."""
-    _check_stage(oracle, t)
-    entry = oracle.entries.get(x)
-    return entry is not None and entry <= t
-
-
-def newly_at(oracle: EnumerationOracle, x: int, s: int) -> bool:
-    """First appearance exactly at stage s."""
-    _check_stage(oracle, s)
-    return oracle.entries.get(x) == s
-
-
 def _check_program(name: str, program: Program) -> None:
     if not isinstance(program, (tuple, list)):
         raise ValidationError(f"{name}: must be a tuple or list, got {type(program).__name__}")

@@ -13,7 +13,6 @@ the result; ``systems`` is read-only, so it cannot go stale.
 """
 from __future__ import annotations
 
-import math
 from functools import cached_property
 from itertools import chain
 from types import MappingProxyType
@@ -24,6 +23,8 @@ from .errors import ValidationError
 
 WEAK = "weak"
 STRONG = "strong"
+# The types a vicinity may have, or a subclass of one.
+_VICINITY_TYPES = (frozenset, set, tuple, list)
 
 # A labeling is a total map from points to label tokens.
 Labeling = Mapping[int, str]
@@ -94,15 +95,21 @@ def validate_system(
 ) -> list[Violation]:
     """All invariant violations of one system (empty list means valid).
 
-    A value that is not a ``VicinitySystem`` with a tuple or list of
-    vicinities gets one ``bad-system`` violation and is read no further.
-    A system of one vicinity that holds its owner, checked with no range
-    and in a valid ``mode`` equal to its own, is accepted at once: its
-    mode is then valid and matches, it is not empty, its one vicinity
-    holds the owner and cannot equal another, so no rule below fires.
+    A value that is not a ``VicinitySystem`` with a hashable owner and a
+    tuple or list of vicinities, each a set, frozenset, tuple or list,
+    gets one ``bad-system`` violation and is read no further.
     """
-    if fault := _misshapen(system):
+    if fault := _misshapen(system) or _odd_vicinity(system.vicinities):
         return [Violation("bad-system", getattr(system, "owner", None), fault)]
+    return _system_violations(system, num_points, mode)
+
+
+def _system_violations(system: VicinitySystem, num_points: int | None, mode: str | None) -> list[Violation]:
+    """``validate_system`` of a system the shape rule accepts.  A system
+    of one vicinity that holds its owner, checked with no range and in a
+    valid ``mode`` equal to its own, is accepted at once: its mode is then
+    valid and matches, it is not empty, its one vicinity holds the owner
+    and cannot equal another, so no rule below fires."""
     p = system.owner
     if (
         num_points is None and mode in (WEAK, STRONG) and system.mode == mode
@@ -137,11 +144,23 @@ def validate_system(
 
 
 def _misshapen(system) -> str:
-    """Why validation cannot read ``system`` as a system ('' if it can)."""
+    """Why validation cannot read ``system`` ('' if it can): with ``_odd_vicinity``, the one shape rule."""
     if not isinstance(system, VicinitySystem):
         return f"system is a {type(system).__name__}, not a VicinitySystem"
     if not isinstance(system.vicinities, (tuple, list)):
         return f"vicinities are a {type(system.vicinities).__name__}, not a tuple or list"
+    try:
+        hash(system.owner)
+    except TypeError:
+        return f"owner is an unhashable {type(system.owner).__name__}"
+    return ""
+
+
+def _odd_vicinity(vicinities: Sequence) -> str:
+    """Why validation cannot read one of the vicinities ('' if it can read each)."""
+    for i, vic in enumerate(vicinities):
+        if not isinstance(vic, _VICINITY_TYPES):
+            return f"vicinity {i} is a {type(vic).__name__}, not a set, frozenset, tuple or list"
     return ""
 
 
@@ -164,9 +183,16 @@ def validate_space(space: FiniteVSpace) -> list[Violation]:
         for key, system in space.systems.items() if key not in unread and (fault := _misshapen(system))
     )
     # Read each distinct vicinity object once (an induced space shares one
-    # per label class), and range-check members per vicinity only if one
-    # strays, so the violations and their order stay the same.
+    # per label class), its type in one scan, and range-check members per
+    # vicinity only if one strays, so the violations and their order stay the same.
     vicinities = {id(v): v for key, system in space.systems.items() if key not in unread for v in system.vicinities}
+    if not set(map(type, vicinities.values())).issubset(_VICINITY_TYPES):
+        unread.update(
+            (key, Violation("bad-system", key, fault))
+            for key, system in space.systems.items() if key not in unread and (fault := _odd_vicinity(system.vicinities))
+        )
+        # A readable vicinity of a refused system can only turn range checks on.
+        vicinities = {i: v for i, v in vicinities.items() if isinstance(v, _VICINITY_TYPES)}
     num_points = space.num_points if _members_stray(vicinities.values(), space.num_points) else None
     for key in sorted(space.systems, key=_point_order) if stray else sorted(space.systems):
         if key in unread:
@@ -175,7 +201,7 @@ def validate_space(space: FiniteVSpace) -> list[Violation]:
         system = space.systems[key]
         if system.owner != key:
             out.append(Violation("owner-mismatch", key, f"system owner is {system.owner}"))
-        out.extend(validate_system(system, num_points, space.mode))
+        out.extend(_system_violations(system, num_points, space.mode))
     return out
 
 
@@ -199,9 +225,9 @@ def _point_order(p) -> tuple:
     return (0, p) if type(p) is int else (1, repr(p))
 
 
-def _not_points(items: Iterable, num_points: float = math.inf) -> list:
+def _not_points(items: Iterable, num_points: int) -> list:
     """The one point rule: the items that are not ints (a bool is not) in
-    0..num_points-1 (>= 0 without a bound), in ``_point_order``."""
+    0..num_points-1, in ``_point_order``."""
     bad = [p for p in items if not (type(p) is int and 0 <= p < num_points)]
     return sorted(bad, key=_point_order) if bad else bad
 
@@ -211,16 +237,6 @@ def require_points(space: FiniteVSpace, points: Iterable[int], what: str) -> Non
         raise ValidationError(f"{what} {outside} are not points 0..{space.num_points - 1}")
 
 
-def _require_valid_system(system: VicinitySystem) -> None:
-    """Reject a system with a violation or with a member that is not an int (a bool is not) >= 0."""
-    violations = validate_system(system)
-    if violations:
-        raise ValidationError("invalid system: " + "; ".join(str(v) for v in violations))
-    for i, vic in enumerate(system.vicinities):
-        if bad := _not_points(vic):
-            raise ValidationError(f"invalid system: vicinity {i} members {bad} are not points")
-
-
 def require_total_labeling(pi: Labeling, points: Iterable[int]) -> None:
     missing = [p for p in points if p not in pi]
     if missing:
@@ -228,34 +244,6 @@ def require_total_labeling(pi: Labeling, points: Iterable[int]) -> None:
     for p, token in pi.items():
         if not isinstance(token, str) or not token:
             raise ValidationError(f"label of point {p} must be a non-empty string")
-
-
-def weak_from_strong(system: VicinitySystem) -> VicinitySystem:
-    """View a strong system as a weak one.
-
-    The sequence is unchanged: the infinite padding of a weak system by
-    its vicinity 0 is left implicit (see module docstring).
-    """
-    if system.mode != STRONG:
-        raise ValidationError("weak_from_strong expects a strong system")
-    _require_valid_system(system)
-    return VicinitySystem(system.owner, system.vicinities, WEAK)
-
-
-def strong_from_weak(system: VicinitySystem) -> VicinitySystem:
-    """Deduplicate a weak system into a strong one.
-
-    Keeps the first occurrence of each distinct vicinity set, in order.
-    On finite data this is effective, unlike in the general infinite
-    setting.
-    """
-    if system.mode != WEAK:
-        raise ValidationError("strong_from_weak expects a weak system")
-    _require_valid_system(system)
-    first: dict[frozenset[int], Iterable[int]] = {}
-    for vic in system.vicinities:
-        first.setdefault(frozenset(vic), vic)
-    return VicinitySystem(system.owner, tuple(first.values()), STRONG)
 
 
 def induced_space(points: Iterable[int], pi: Labeling) -> FiniteVSpace:

@@ -47,17 +47,6 @@ class TheoremOutcome(Record):
     _defaults = {"reason": None, "violations": None, "witness": None}
 
 
-class RefutationTrace(Record):
-    """Why a candidate chain in an induced space forces equal labels.
-
-    ``meeting_points[j]`` is the least element of the intersection of the
-    label classes of chain[j] and chain[j+1]; all of them, and hence both
-    endpoints, carry ``label``.
-    """
-
-    _fields = ("chain", "meeting_points", "label")
-
-
 def tolerance_report(space: FiniteVSpace, pi: Labeling) -> ToleranceReport:
     """Classify every point as tolerant (with its least constant index) or not.
 
@@ -149,25 +138,3 @@ def check_nonconn(points, pi: Labeling, a: int, b: int) -> TheoremOutcome:
         return TheoremOutcome(HOLDS, witness=unique_cover)
     return TheoremOutcome(REFUTED)
 
-
-def refute_chain_in_induced(points, pi: Labeling, chain) -> RefutationTrace:
-    """Explain why a chain in an induced space equalises the end labels.
-
-    Walks the chain, taking the least element of each consecutive class
-    intersection, and propagates the first point's label through to the
-    last.  Raises when consecutive classes are disjoint (not a chain).
-    """
-    space = induced_space(points, pi)
-    seq = list(chain)
-    if not seq:
-        raise ValidationError("chain must be non-empty")
-    require_points(space, seq, "chain points")
-    meeting = []
-    for x, y in zip(seq, seq[1:]):
-        cls_x = space.systems[x].vicinities[0]
-        cls_y = space.systems[y].vicinities[0]
-        common = cls_x & cls_y
-        if not common:
-            raise ValidationError(f"not a chain: classes of {x} and {y} are disjoint")
-        meeting.append(min(common))
-    return RefutationTrace(tuple(seq), tuple(meeting), pi[seq[0]])

@@ -406,6 +406,39 @@ def test_commands_without_endpoints_exit_2(capsys, tmp_path, argv, message):
     assert err.startswith(message) and err.count("\n") == 1
 
 
+DECODE = ["code-decode", "--space", fx("coded_small.vs"), "--cover", fx("coded_witness.cov")]
+BUILD = ["code-build", "--oracle", fx("k1.orc"), "--a", "0", "--b", "2", "--points", "25", "--stages", "3"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["connected", fx("s1.vs"), "--witness-out", "{missing}/w.cov"],
+        ["tolerant-cover", fx("s1.vs"), "--out", "{missing}/c.cov"],
+        ["induced", fx("s1.vs"), "--out", "{missing}/i.vs"],
+        [*BUILD, "--out-space", "{tmp}/coded.vs", "--out-pi", "{missing}/pi.vs"],
+        [*DECODE, "--oracle", "{missing}/k1.orc"],
+        [*DECODE, "--oracle", fx("unsorted.orc")],
+    ],
+    ids=["connected-witness-out", "tolerant-cover-out", "induced-out", "code-build-out-pi", "code-decode-missing-oracle", "code-decode-malformed-oracle"],
+)
+def test_a_command_that_fails_after_its_work_prints_nothing(capsys, tmp_path, argv):
+    # Each command does its work, then fails to write or read a file:
+    # it exits 2 with the error on stderr and nothing on stdout.
+    code, out, err = run(capsys, *(arg.format(tmp=tmp_path, missing=tmp_path / "missing") for arg in argv))
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_code_decode_reports_a_bad_cover_before_a_bad_oracle(capsys, tmp_path):
+    cover = tmp_path / "one.cov"
+    cover.write_text("cover v1\nchoose 0 0\n")
+    argv = ["code-decode", "--space", fx("coded_small.vs"), "--cover", str(cover), "--oracle", str(tmp_path / "no.orc")]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert "cover missing points" in err
+
+
 def test_code_decode_with_oracle_mismatch(capsys):
     code, out, _ = run(
         capsys, "code-decode", "--space", fx("coded_small.vs"),

@@ -18,7 +18,6 @@ from vspace import (
     decode_from_cover,
     is_connected,
     make_space,
-    overlap_graph,
     verify_witness,
 )
 from vspace.connectivity import DEFAULT_MAX_COVERS, _chain, _compile, _PrunedSearch, _sets_reachable, resolve_choice
@@ -36,29 +35,6 @@ def s1():
 
 def s2():
     return make_space({0: [{0, 1}], 1: [{0, 1, 2}], 2: [{2}]})
-
-
-def edges(adj):
-    return {frozenset((x, y)) for x, nbrs in adj.items() for y in nbrs}
-
-
-def test_overlap_graph_c1():
-    assert edges(overlap_graph(s1(), C1)) == {frozenset({0, 1})}
-
-
-def test_overlap_graph_c2():
-    assert edges(overlap_graph(s1(), C2)) == {frozenset({0, 1}), frozenset({1, 2})}
-
-
-def test_overlap_graph_single_point():
-    space = make_space({0: [{0}]})
-    adj = overlap_graph(space, {0: 0})
-    assert adj == {0: set()}
-
-
-def test_overlap_graph_rejects_out_of_range_index():
-    with pytest.raises(ValidationError):
-        overlap_graph(s1(), {0: 0, 1: 5, 2: 0})
 
 
 def test_weak_index_past_end_denotes_vicinity_zero():
@@ -116,7 +92,6 @@ INVALID_SPACES = {
 COVER_FUNCTIONS = {
     "chain_exists": lambda space: chain_exists(space, {0: 0, 1: 0}, 0, 1),
     "verify_witness": lambda space: verify_witness(space, {0: 0, 1: 0}, 0, 1),
-    "overlap_graph": lambda space: overlap_graph(space, {0: 0, 1: 0}),
     "decode_from_cover": lambda space: decode_from_cover(space, {0: 0, 1: 0}, 0, 1),
 }
 
@@ -370,8 +345,6 @@ def test_cover_functions_reject_non_int_indices(index):
     message = f"vicinity index {index!r} for point 1 is not a non-negative int"
     with pytest.raises(ValidationError, match=message):
         chain_exists(s1(), cover, 0, 2)
-    with pytest.raises(ValidationError, match=message):
-        overlap_graph(s1(), cover)
 
 
 @pytest.mark.parametrize("check", [chain_exists, verify_witness])
@@ -492,8 +465,8 @@ def random_chosen_sets(rng):
 
 
 def test_set_chains_match_the_mask_scan():
-    # _chain must return _path's chain, and overlap_graph the mask scan's
-    # graph, whether points share set objects, hold equal copies or lists.
+    # _chain must return _path's chain, whether points share set objects,
+    # hold equal copies or lists.
     shared = copies = 0
     for seed in range(3_000):
         rng = random.Random(770_000 + seed)
@@ -509,8 +482,6 @@ def test_set_chains_match_the_mask_scan():
             expected = _path(masks, a, b)
             assert _chain(chosen, a, b) == expected, seed
             assert chain_exists(space, cover, a, b) == expected, seed
-        graph = {x: {y for y, my in enumerate(masks) if mx & my and y != x} for x, mx in enumerate(masks)}
-        assert overlap_graph(space, cover) == graph, seed
     assert shared > 500 and copies > 500
 
 

@@ -2,8 +2,6 @@ import copy
 import pickle
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from vspace import (
     DECJZ,
@@ -12,68 +10,17 @@ from vspace import (
     EnumerationOracle,
     ValidationError,
     machine_enumeration,
-    member_at,
-    newly_at,
     run_program,
 )
 from vspace import oracles
 from vspace.files import parse_oracle, serialize_oracle
 
-K1 = EnumerationOracle({3: 1}, 4)
-
 LOOP = ((DECJZ, 0, 0),)  # r0 stays zero: jumps to itself forever
-
-
-def test_member_before_first_appearance():
-    assert not member_at(K1, 3, 0)
-
-
-def test_membership_is_cumulative():
-    assert member_at(K1, 3, 4)
-
-
-def test_member_of_absent_value():
-    assert not member_at(K1, 9, 2)
-
-
-def test_newly_at_the_scripted_stage():
-    assert newly_at(K1, 3, 1)
-
-
-def test_not_newly_after_first_appearance():
-    assert not newly_at(K1, 3, 2)
-
-
-def test_newly_of_absent_value():
-    assert not newly_at(K1, 9, 1)
-
-
-def test_stage_out_of_range_rejected():
-    with pytest.raises(ValidationError):
-        member_at(K1, 3, 5)
-    with pytest.raises(ValidationError):
-        newly_at(K1, 3, -1)
 
 
 def test_oracle_rejects_stage_beyond_bound():
     with pytest.raises(ValidationError):
         EnumerationOracle({2: 9}, 4)
-
-
-@given(st.integers(0, 4), st.integers(0, 4))
-def test_cumulativity(t1, t2):
-    if member_at(K1, 3, t1) and t2 >= t1:
-        assert member_at(K1, 3, t2)
-
-
-@given(st.dictionaries(st.integers(0, 20), st.integers(0, 6), max_size=6))
-def test_first_appearance_is_unique(entries):
-    oracle = EnumerationOracle(entries, 6)
-    for x in range(21):
-        stages = [s for s in range(7) if newly_at(oracle, x, s)]
-        assert len(stages) <= 1
-        if stages:
-            assert stages[0] == entries[x]
 
 
 def test_halt_program_enumerates_at_stage_one():
@@ -160,13 +107,6 @@ def test_machine_enumeration_rejects_an_empty_instruction():
 def test_oracle_rejects_non_int_numbers(entries, stage_bound, message):
     with pytest.raises(ValidationError, match=f"^{message}$"):
         EnumerationOracle(entries, stage_bound)
-
-
-@pytest.mark.parametrize("query", [member_at, newly_at])
-@pytest.mark.parametrize("stage", [2.5, True, 1.0, "1"], ids=repr)
-def test_stage_queries_reject_non_int_stages(query, stage):
-    with pytest.raises(ValidationError, match=f"^stage {stage!r} is not an int in 0..3$"):
-        query(EnumerationOracle({3: 1}, 3), 3, stage)
 
 
 def test_oracle_keeps_a_read_only_copy_of_its_entries():

@@ -19,7 +19,6 @@ from vspace import (
     ConnectivityVerdict,
     EnumerationOracle,
     FiniteVSpace,
-    RefutationTrace,
     RoundtripReport,
     TheoremOutcome,
     ToleranceReport,
@@ -41,7 +40,6 @@ RECORDS = [
     (ConnectivityVerdict, dict(connected=True, witness=None)),
     (ToleranceReport, dict(violations=frozenset({2}), tolerant_indices={0: 0, 1: 1})),
     (TheoremOutcome, dict(status="holds", reason=None, violations=frozenset({1}), witness=None)),
-    (RefutationTrace, dict(chain=(0, 1), meeting_points=(0,), label="A")),
     (CodedSpaceConfig, dict(a=0, b=2, point_bound=25, stage_bound=3)),
     (CodedSpace, dict(space=SPACE, pi={0: "0"}, config=CONFIG)),
     (
@@ -65,7 +63,6 @@ SIGNATURES = {
     ConnectivityVerdict: "(connected, witness=None)",
     ToleranceReport: "(violations, tolerant_indices)",
     TheoremOutcome: "(status, reason=None, violations=None, witness=None)",
-    RefutationTrace: "(chain, meeting_points, label)",
     CodedSpaceConfig: "(a, b, point_bound, stage_bound)",
     CodedSpace: "(space, pi, config)",
     RoundtripReport: "(labels_differ, tolerance_ok, witness_ok, agreement_ok, decoded_in, mismatches, witness)",

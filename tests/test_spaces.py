@@ -1,5 +1,4 @@
 import random
-import re
 
 import pytest
 from hypothesis import given
@@ -18,12 +17,10 @@ from vspace import (
     induced_space,
     is_connected,
     make_space,
-    strong_from_weak,
     tolerance_report,
     validate_space,
     validate_system,
     verify_witness,
-    weak_from_strong,
 )
 
 
@@ -123,74 +120,6 @@ def test_replace_starts_a_fresh_memo():
     strong = FiniteVSpace(weak.num_points, weak.systems, STRONG)
     with pytest.raises(ValidationError):
         is_connected(strong, 0, 1)
-
-
-def test_weak_from_strong_keeps_the_sequence():
-    system = VicinitySystem(1, (frozenset({1}), frozenset({1, 2})), STRONG)
-    weak = weak_from_strong(system)
-    assert weak.mode == WEAK
-    assert weak.vicinities == system.vicinities
-
-
-def test_weak_from_strong_single_vicinity():
-    system = VicinitySystem(5, (frozenset({5}),), STRONG)
-    assert weak_from_strong(system).vicinities == (frozenset({5}),)
-
-
-def test_weak_from_strong_rejects_empty_system():
-    with pytest.raises(ValidationError):
-        weak_from_strong(VicinitySystem(0, (), STRONG))
-
-
-def test_strong_from_weak_dedups_keeping_first():
-    system = VicinitySystem(1, (frozenset({1}), frozenset({1, 2}), frozenset({1})), WEAK)
-    assert strong_from_weak(system).vicinities == (frozenset({1}), frozenset({1, 2}))
-
-
-def test_strong_from_weak_identity_when_distinct():
-    system = VicinitySystem(3, (frozenset({3}),), WEAK)
-    assert strong_from_weak(system).vicinities == (frozenset({3}),)
-
-
-def test_strong_from_weak_collapses_all_duplicates():
-    vic = frozenset({0, 1})
-    system = VicinitySystem(0, (vic, vic, vic), WEAK)
-    assert strong_from_weak(system).vicinities == (vic,)
-
-
-def test_strong_from_weak_dedups_list_vicinities_keeping_first():
-    assert strong_from_weak(VicinitySystem(0, ([0],), WEAK)).vicinities == ([0],)
-    system = VicinitySystem(0, ([0, 1], frozenset({0}), [1, 0], [0]), WEAK)
-    assert strong_from_weak(system).vicinities == ([0, 1], frozenset({0}))
-
-
-@pytest.mark.parametrize(
-    "convert, mode",
-    [(weak_from_strong, STRONG), (strong_from_weak, WEAK)],
-    ids=["weak_from_strong", "strong_from_weak"],
-)
-@pytest.mark.parametrize("member", [[1], -1, True], ids=repr)
-def test_mode_conversions_reject_members_that_are_not_points(convert, mode, member):
-    with pytest.raises(ValidationError, match=re.escape(f"invalid system: vicinity 1 members [{member!r}] are not points")):
-        convert(VicinitySystem(0, ([0], [0, member]), mode))
-
-
-@st.composite
-def strong_systems(draw):
-    owner = draw(st.integers(0, 4))
-    n = draw(st.integers(1, 8))
-    pool = st.frozensets(st.integers(0, 7), max_size=6).map(lambda s: s | {owner})
-    vics = []
-    for _ in range(n):
-        vic = draw(pool)
-        if vic not in vics:
-            vics.append(vic)
-    return VicinitySystem(owner, tuple(vics), STRONG)
-
-
-@given(strong_systems())
-def test_roundtrip_weak_then_strong_is_identity(system):
-    assert strong_from_weak(weak_from_strong(system)) == system
 
 
 def test_induced_space_example():
@@ -299,6 +228,26 @@ MALFORMED_SPACES = {
         lambda: FiniteVSpace(1, {0: VicinitySystem(0, ([0], [0]), STRONG)}),
         "duplicate-vicinity", 0, "vicinities 0 and 1 are equal sets",
     ),
+    "int-vicinity": (
+        lambda: FiniteVSpace(1, {0: VicinitySystem(0, (5,))}),
+        "bad-system", 0, "vicinity 0 is a int, not a set, frozenset, tuple or list",
+    ),
+    "none-vicinity": (
+        lambda: FiniteVSpace(1, {0: VicinitySystem(0, (frozenset({0}), None))}),
+        "bad-system", 0, "vicinity 1 is a NoneType, not a set, frozenset, tuple or list",
+    ),
+    "str-vicinity": (
+        lambda: FiniteVSpace(1, {0: VicinitySystem(0, ("0",))}),
+        "bad-system", 0, "vicinity 0 is a str, not a set, frozenset, tuple or list",
+    ),
+    "dict-vicinity": (
+        lambda: FiniteVSpace(1, {0: VicinitySystem(0, ({0: 1},))}),
+        "bad-system", 0, "vicinity 0 is a dict, not a set, frozenset, tuple or list",
+    ),
+    "list-owner": (
+        lambda: FiniteVSpace(1, {0: VicinitySystem([0], (frozenset({0}),))}),
+        "bad-system", 0, "owner is an unhashable list",
+    ),
 }
 
 
@@ -314,7 +263,6 @@ def test_a_strong_system_compares_list_vicinities_as_sets():
     space = FiniteVSpace(1, {0: VicinitySystem(0, ([0],), STRONG)})
     assert validate_space(space) == []
     assert is_connected(space, 0, 0).connected
-    assert weak_from_strong(space.systems[0]).vicinities == ([0],)
     twice = MALFORMED_SPACES["strong-list-duplicate"][0]()
     assert [str(v) for v in validate_space(twice)] == [
         "duplicate-vicinity (point 0): vicinities 0 and 1 are equal sets"
@@ -331,13 +279,29 @@ def test_a_shared_stray_vicinity_is_reported_at_each_point():
     ]
 
 
+class _Members(frozenset):
+    """A vicinity type that the shape rule accepts as a frozenset."""
+
+
+# Vicinities that the shape rule refuses.
+ODD_VICINITIES = [5, None, "0", {0: 1}]
+
+
+def test_a_vicinity_of_a_subclass_of_an_accepted_type_is_read():
+    space = FiniteVSpace(2, {0: VicinitySystem(0, (_Members({0, 1}),)), 1: VicinitySystem(1, ([1], _Members({0, 1})))})
+    assert validate_space(space) == []
+    assert is_connected(space, 0, 1).connected
+
+
 def test_validate_space_matches_validate_system_in_key_order():
-    # Members are range-checked once per vicinity object, and a system of
-    # one vicinity that holds its key is accepted in one check; the
-    # violations must still be the space's own, then those of
-    # validate_system on each system, in key order.
+    # Members are range-checked once per vicinity object, vicinity types
+    # are scanned once for the whole space, and a system of one vicinity
+    # that holds its key is accepted in one check; the violations must
+    # still be the space's own, then those of validate_system on each
+    # system, in key order.
     for seed in range(1000):
         rng = random.Random(31_000 + seed)
+        shape_rng = random.Random(41_000 + seed)
         n = rng.randint(1, 6)
         mode = rng.choice([STRONG, WEAK])
         space_mode = rng.choice([mode] * 6 + [STRONG if mode == WEAK else WEAK, "odd"])
@@ -351,6 +315,9 @@ def test_validate_space_matches_validate_system_in_key_order():
             vics = [rng.choice(pool) for _ in range(1 if rng.random() < 0.6 else rng.randint(0, 3))]
             vics = [v | {owner} if rng.random() < 0.7 else v for v in vics]
             vics = [sorted(v, key=repr) if rng.random() < 0.2 else v for v in vics]
+            vics = [_Members(v) if shape_rng.random() < 0.1 and isinstance(v, frozenset) else v for v in vics]
+            vics = [shape_rng.choice(ODD_VICINITIES) if shape_rng.random() < 0.03 else v for v in vics]
+            owner = [owner] if shape_rng.random() < 0.02 else owner
             system_mode = rng.choice([mode] * 8 + [STRONG if mode == WEAK else WEAK, "odd"])
             systems[key] = VicinitySystem(owner, tuple(vics), system_mode)
         expected = [spaces.Violation("bad-mode", None, "unknown mode 'odd'")] if space_mode == "odd" else []
@@ -360,9 +327,13 @@ def test_validate_space_matches_validate_system_in_key_order():
             if not (type(key) is int and 0 <= key < n):
                 expected.append(spaces.Violation("unknown-point", key, f"system keyed by point outside 0..{n - 1}"))
                 continue
+            found = validate_system(system, n, space_mode)
+            if found and found[0].kind == "bad-system":
+                expected.append(spaces.Violation("bad-system", key, found[0].detail))
+                continue
             if system.owner != key:
                 expected.append(spaces.Violation("owner-mismatch", key, f"system owner is {system.owner}"))
-            expected += validate_system(system, n, space_mode)
+            expected += found
         assert validate_space(FiniteVSpace(n, systems, space_mode)) == expected, seed
 
 
@@ -392,6 +363,12 @@ MISSHAPEN_SYSTEMS = {
     "none-vicinities": (VicinitySystem(1, None), "vicinities are a NoneType, not a tuple or list"),
     "set-of-one": (VicinitySystem(0, {frozenset({0})}), "vicinities are a set, not a tuple or list"),
     "set-of-two": (VicinitySystem(0, {frozenset({0}), frozenset({0, 1})}), "vicinities are a set, not a tuple or list"),
+    "int-vicinity": (VicinitySystem(0, (5,)), "vicinity 0 is a int, not a set, frozenset, tuple or list"),
+    "none-vicinity": (VicinitySystem(0, (frozenset({0}), None)), "vicinity 1 is a NoneType, not a set, frozenset, tuple or list"),
+    "str-vicinity": (VicinitySystem(0, ("0",)), "vicinity 0 is a str, not a set, frozenset, tuple or list"),
+    "dict-vicinity": (VicinitySystem(0, ({0: 1},)), "vicinity 0 is a dict, not a set, frozenset, tuple or list"),
+    # Also a stray member, in a vicinity that is not read.
+    "list-owner": (VicinitySystem([0], (frozenset({0, 9}),)), "owner is an unhashable list"),
 }
 
 
@@ -423,16 +400,6 @@ def test_int_keyed_violations_follow_key_order():
 def test_empty_label_is_refused():
     with pytest.raises(ValidationError, match="label of point 0 must be a non-empty string"):
         spaces.require_total_labeling({0: ""}, [0])
-
-
-@pytest.mark.parametrize(
-    "convert, mode",
-    [(weak_from_strong, WEAK), (strong_from_weak, STRONG)],
-    ids=["weak_from_strong", "strong_from_weak"],
-)
-def test_mode_conversions_reject_the_wrong_mode(convert, mode):
-    with pytest.raises(ValidationError, match=f"{convert.__name__} expects a"):
-        convert(_system(0, {0}, mode=mode))
 
 
 @pytest.mark.parametrize("points", [[0, 2], [0, 1.0], [0, True]], ids=repr)

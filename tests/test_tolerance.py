@@ -13,7 +13,6 @@ from vspace import (
     check_nonconn,
     check_nontol,
     make_space,
-    refute_chain_in_induced,
     tolerance_report,
     tolerant_cover,
     verify_witness,
@@ -130,39 +129,6 @@ def test_check_nonconn_rejects_equal_labels():
         check_nonconn(range(3), PI, 0, 1)
 
 
-def test_refute_chain_single_class():
-    pi = {0: "A", 1: "A", 2: "A"}
-    trace = refute_chain_in_induced(range(3), pi, [0, 1, 2])
-    assert trace.meeting_points == (0, 0)
-    assert trace.label == "A"
-
-
-def test_refute_chain_length_one():
-    trace = refute_chain_in_induced(range(3), PI, [1])
-    assert trace.meeting_points == ()
-    assert trace.label == "A"
-
-
-def test_refute_chain_rejects_disjoint_classes():
-    with pytest.raises(ValidationError):
-        refute_chain_in_induced(range(3), PI, [0, 2])
-
-
-def test_refute_chain_meeting_points_share_labels():
-    rng = random.Random(7)
-    for _ in range(50):
-        n = rng.randint(2, 10)
-        pi = random_labeling(rng, n)
-        # Build a chain inside one label class: intersections are never empty.
-        token = pi[rng.randrange(n)]
-        cls = [p for p in range(n) if pi[p] == token]
-        chain = [rng.choice(cls) for _ in range(rng.randint(1, 4))]
-        trace = refute_chain_in_induced(range(n), pi, chain)
-        for j, y in enumerate(trace.meeting_points):
-            assert pi[y] == pi[chain[j]] == pi[chain[j + 1]]
-        assert pi[chain[0]] == pi[chain[-1]] == trace.label
-
-
 def test_tolerance_report_matches_double_loop():
     rng = random.Random(11)
     for _ in range(150):
@@ -230,16 +196,6 @@ def test_check_nontol_rejects_non_int_endpoints(engine, b):
 def test_check_nonconn_rejects_non_int_endpoints(b):
     with pytest.raises(ValidationError, match="are not points 0..2"):
         check_nonconn(range(3), PI, 0, b)
-
-
-def test_refute_chain_rejects_non_int_chain_points():
-    with pytest.raises(ValidationError, match=r"chain points \[1.0\] are not points 0..2"):
-        refute_chain_in_induced(range(3), PI, [0, 1.0])
-
-
-def test_refute_chain_rejects_an_empty_chain():
-    with pytest.raises(ValidationError, match="chain must be non-empty"):
-        refute_chain_in_induced(range(3), PI, [])
 
 
 @pytest.mark.parametrize("a, b", [(0, 1), (0, 2)], ids=["equal-labels", "different-labels"])
