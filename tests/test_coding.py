@@ -66,6 +66,49 @@ def test_pair_dominates_first_argument(x, s):
     assert (x == code) == ((x, s) == (0, 0))
 
 
+# Roles of codes under K1, where 3 is newly enumerated at stage 1 and no
+# other value is enumerated.
+ROLES = [
+    (3, 0, None),  # before 3 appears
+    (3, 1, coding.LABEL_A),  # 3 is new at this stage: the code is in V_a
+    (3, 2, coding.LABEL_B),  # one stage after: the code is in V_b
+    (3, 3, None),  # later still
+    (9, 1, None),  # never enumerated
+    (0, 0, None),
+]
+
+
+@pytest.mark.parametrize("x, s, role", ROLES, ids=[f"{x}-{s}" for x, s, _ in ROLES])
+def test_the_role_of_a_code_reads_the_first_appearance_stage(x, s, role):
+    assert coding._role(dict(K1.entries), x, s) == role
+    if role is not None:
+        assert K1_PI[pair(x, s)] == role
+
+
+@given(st.dictionaries(st.integers(0, 20), st.integers(0, 6), max_size=6))
+def test_a_value_has_one_code_of_each_role_exactly_when_enumerated(entries):
+    entries = dict(EnumerationOracle(entries, 6).entries)
+    for x in range(21):
+        new = [entries[x]] if x in entries else []
+        assert [s for s in range(8) if coding._role(entries, x, s) == coding.LABEL_A] == new
+        assert [s for s in range(8) if coding._role(entries, x, s) == coding.LABEL_B] == [s + 1 for s in new]
+
+
+def test_entries_past_the_stage_bound_are_not_read():
+    oracle = EnumerationOracle({3: 1, 5: 3, 6: 2}, 4)
+    assert coding._bounded_entries(oracle, CodedSpaceConfig(a=0, b=2, point_bound=25, stage_bound=2)) == {3: 1, 6: 2}
+
+
+def test_every_code_with_a_role_is_labelled_by_it():
+    coded = build_coded_space(K1, K1_CONFIG)
+    entries = coding._bounded_entries(K1, K1_CONFIG)
+    roles = {y: coding._role(entries, *unpair(y)) for y in coded.space.points}
+    assert {y for y, role in roles.items() if role is not None} == {pair(3, 1), pair(3, 2)}
+    for y, role in roles.items():
+        if role is not None:
+            assert coded.pi[y] == role
+
+
 def test_config_rejects_enumerated_endpoint():
     oracle = EnumerationOracle({0: 1}, 3)
     problems = validate_config(oracle, CodedSpaceConfig(0, 2, 25, 3))

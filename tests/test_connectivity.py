@@ -1,4 +1,5 @@
 import copy
+import itertools
 import random
 import time
 from pathlib import Path
@@ -18,6 +19,7 @@ from vspace import (
     decode_from_cover,
     is_connected,
     make_space,
+    validate_space,
     verify_witness,
 )
 from vspace.connectivity import DEFAULT_MAX_COVERS, _chain, _compile, _PrunedSearch, _sets_reachable, resolve_choice
@@ -35,6 +37,103 @@ def s1():
 
 def s2():
     return make_space({0: [{0, 1}], 1: [{0, 1, 2}], 2: [{2}]})
+
+
+# Under C1 the chosen sets of s1 are {0, 1}, {1}, {2}, which join only 0
+# and 1; under C2 they are {0, 1}, {1, 2}, {2}, which join all three.
+S1_CHAINS = [
+    (C1, 0, 1, [0, 1]),
+    (C1, 1, 2, None),
+    (C1, 0, 2, None),
+    (C2, 0, 1, [0, 1]),
+    (C2, 1, 2, [1, 2]),
+    (C2, 0, 2, [0, 1, 2]),
+]
+
+
+@pytest.mark.parametrize(
+    "cover, a, b, chain", S1_CHAINS, ids=[f"C{1 + (c is C2)}-{a}-{b}" for c, a, b, _ in S1_CHAINS]
+)
+def test_chains_of_s1_under_c1_and_c2(cover, a, b, chain):
+    assert chain_exists(s1(), cover, a, b) == chain
+    assert chain_exists(s1(), cover, b, a) == (None if chain is None else chain[::-1])
+    assert verify_witness(s1(), cover, a, b) == (chain is None)
+
+
+def test_a_single_point_space_has_the_length_zero_chain():
+    space = make_space({0: [{0}]})
+    assert chain_exists(space, {0: 0}, 0, 0) == [0]
+    assert not verify_witness(space, {0: 0}, 0, 0)
+    assert is_connected(space, 0, 0).connected
+
+
+# Weak vicinities of the owner and their first-occurrence dedupe, the
+# strong system README gives as tuple(dict.fromkeys(map(frozenset, ...))).
+WEAK_DEDUPES = {
+    "first-repeated": (1, ({1}, {1, 2}, {1}), ({1}, {1, 2})),
+    "distinct": (1, ({1},), ({1},)),
+    "all-equal": (0, ({0, 1}, {0, 1}, {0, 1}), ({0, 1},)),
+    "lists": (0, ([0, 1], {0}, [1, 0], [0]), ({0, 1}, {0})),
+}
+
+
+def _with_singletons(owner, vicinities, mode):
+    """A three-point space: the owner's system, and {p} for each other point."""
+    systems = {p: VicinitySystem(p, (frozenset({p}),), mode) for p in range(3)}
+    systems[owner] = VicinitySystem(owner, vicinities, mode)
+    return FiniteVSpace(3, systems, mode)
+
+
+@pytest.mark.parametrize("case", sorted(WEAK_DEDUPES))
+def test_a_weak_system_compiles_as_its_first_occurrence_dedupe(case):
+    owner, vicinities, deduped = WEAK_DEDUPES[case]
+    weak = _with_singletons(owner, tuple(frozenset(v) if isinstance(v, set) else v for v in vicinities), WEAK)
+    strong = _with_singletons(owner, tuple(dict.fromkeys(map(frozenset, weak.systems[owner].vicinities))), STRONG)
+    assert strong.systems[owner].vicinities == tuple(map(frozenset, deduped))
+    assert validate_space(weak) == validate_space(strong) == []
+    assert _compile(weak) == _compile(strong)
+    for a, b in itertools.product(range(3), repeat=2):
+        assert is_connected(weak, a, b) == is_connected(strong, a, b)
+
+
+def _read_as(space, mode):
+    """The space with each system's vicinities kept in ``mode``; a strong
+    reading keeps the first occurrence of each set."""
+    systems = {}
+    for p, system in space.systems.items():
+        vics = system.vicinities if mode == WEAK else tuple(dict.fromkeys(map(frozenset, system.vicinities)))
+        systems[p] = VicinitySystem(p, vics, mode)
+    return FiniteVSpace(space.num_points, systems, mode)
+
+
+@pytest.mark.parametrize("mode", [STRONG, WEAK])
+def test_a_space_read_in_the_other_mode_compiles_alike_and_keeps_its_verdicts(mode):
+    # A strong space read as weak must validate clean and give the same
+    # compiled form and verdicts.  A weak one deduped into strong must too,
+    # up to indices: the dedupe renumbers the sets after a repeated one.
+    rng = random.Random(52_000 if mode == STRONG else 53_000)
+    checked = duplicated = 0
+    while checked < 150:
+        space = random_space(rng, max_vics=4)
+        if space.mode != mode:
+            continue
+        checked += 1
+        duplicated += any(len(set(s.vicinities)) < len(s.vicinities) for s in space.systems.values())
+        other = _read_as(space, WEAK if mode == STRONG else STRONG)
+        assert validate_space(other) == []
+        if mode == STRONG:
+            assert _compile(other) == _compile(space)
+        else:
+            assert [list(masks) for masks in _compile(other)] == [list(masks) for masks in _compile(space)]
+        for a, b in itertools.product(space.points, repeat=2):
+            for engine in ("brute", "pruned"):
+                verdict = is_connected(other, a, b, engine=engine)
+                if mode == STRONG:
+                    assert verdict == is_connected(space, a, b, engine=engine)
+                else:
+                    assert verdict.connected == is_connected(space, a, b, engine=engine).connected
+                    assert verdict.connected or verify_witness(other, verdict.witness, a, b)
+    assert mode == STRONG or duplicated > 30
 
 
 def test_weak_index_past_end_denotes_vicinity_zero():

@@ -185,6 +185,22 @@ def test_out_of_range_members_list_ints_ascending_then_the_rest():
     assert [v.detail for v in validate_space(space)] == ["vicinity 0 members [7, 9, 'x', 2.5] outside 0..0"]
 
 
+@pytest.mark.parametrize("mode", [STRONG, WEAK])
+@pytest.mark.parametrize("member", [[1], -1, True], ids=repr)
+def test_a_system_reports_members_that_are_not_points_in_either_mode(mode, member):
+    system = VicinitySystem(0, ([0], [0, member]), mode)
+    assert validate_system(system, 2, mode) == [
+        spaces.Violation("member-out-of-range", 0, f"vicinity 1 members [{member!r}] outside 0..1")
+    ]
+
+
+@pytest.mark.parametrize("mode", [STRONG, WEAK])
+def test_an_empty_system_is_reported_in_either_mode(mode):
+    assert validate_system(VicinitySystem(0, (), mode), 1, mode) == [
+        spaces.Violation("empty-system", 0, "system has no vicinities")
+    ]
+
+
 def _system(owner, *vicinities, mode=STRONG):
     return VicinitySystem(owner, tuple(frozenset(v) for v in vicinities), mode)
 

@@ -9,9 +9,12 @@ from vspace import (
     NOT_APPLICABLE,
     STRONG,
     WEAK,
+    TheoremOutcome,
     ValidationError,
+    chain_exists,
     check_nonconn,
     check_nontol,
+    induced_space,
     make_space,
     tolerance_report,
     tolerant_cover,
@@ -127,6 +130,41 @@ def test_check_nonconn_on_20000_alternating_labels_is_fast():
 def test_check_nonconn_rejects_equal_labels():
     with pytest.raises(ValidationError):
         check_nonconn(range(3), PI, 0, 1)
+
+
+# Chains under the one cover of PI's induced space: 0 and 1 share the
+# class {0, 1}, and 2 is alone in {2}.
+INDUCED_CHAINS = [(0, 1, [0, 1]), (1, 0, [1, 0]), (0, 2, None), (2, 0, None), (1, 2, None), (2, 2, [2])]
+
+
+@pytest.mark.parametrize("a, b, chain", INDUCED_CHAINS, ids=[f"{a}-{b}" for a, b, _ in INDUCED_CHAINS])
+def test_the_induced_cover_chains_exactly_within_a_label_class(a, b, chain):
+    assert chain_exists(induced_space(range(3), PI), {p: 0 for p in range(3)}, a, b) == chain
+
+
+def test_one_label_class_chains_any_two_points_in_one_step():
+    pi = {p: "A" for p in range(3)}
+    assert chain_exists(induced_space(range(3), pi), {p: 0 for p in range(3)}, 0, 2) == [0, 2]
+
+
+def test_check_nonconn_holds_exactly_across_label_classes():
+    # Under the induced space's one cover, a chain stays inside its
+    # endpoints' label class, and none joins two classes.
+    rng = random.Random(7)
+    for _ in range(50):
+        n = rng.randint(2, 10)
+        pi = random_labeling(rng, n)
+        cover = {p: 0 for p in range(n)}
+        space = induced_space(range(n), pi)
+        for a in range(n):
+            for b in range(n):
+                chain = chain_exists(space, cover, a, b)
+                if pi[a] == pi[b]:
+                    assert chain[0] == a and chain[-1] == b
+                    assert {pi[p] for p in chain} == {pi[a]}
+                else:
+                    assert chain is None
+                    assert check_nonconn(range(n), pi, a, b) == TheoremOutcome(HOLDS, witness=cover)
 
 
 def test_tolerance_report_matches_double_loop():
