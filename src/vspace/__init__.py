@@ -13,9 +13,9 @@ _EXPORTS = {
         decode_from_cover pair unpair validate_config verify_roundtrip""",
     "connectivity": "ConnectivityVerdict chain_exists is_connected verify_witness",
     "errors": "DEFAULT_MAX_COVERS BudgetExceededError CodingConfigError ParseError ValidationError VSpaceError",
-    "oracles": "DECJZ HALT INC EnumerationOracle machine_enumeration run_program",
+    "oracles": "DECJZ HALT INC EnumerationOracle machine_enumeration",
     "spaces": """STRONG WEAK FiniteVSpace Labeling VicinitySystem Violation induced_space
-        make_space validate_space validate_system""",
+        make_space validate_space""",
     "tolerance": """HOLDS NOT_APPLICABLE REFUTED TheoremOutcome ToleranceReport
         check_nonconn check_nontol tolerance_report tolerant_cover""",
 }

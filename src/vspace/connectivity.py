@@ -82,8 +82,6 @@ def resolve_choice(system: VicinitySystem, index: int) -> frozenset[int]:
     """The vicinity set a cover index denotes, honouring weak padding."""
     if type(index) is int and 0 <= index < len(system.vicinities):
         return system.vicinities[index]
-    if not system.vicinities:
-        raise ValidationError(f"point {system.owner} has an empty system")
     if type(index) is not int or index < 0:
         raise ValidationError(f"vicinity index {index!r} for point {system.owner} is not a non-negative int")
     if system.mode == WEAK:  # past the end: the padding by vicinity 0

@@ -80,18 +80,8 @@ def _check_program(name: str, program: Program) -> None:
             raise ValidationError(f"{name}: bad instruction {ins!r} at {pc}")
 
 
-def run_program(program: Program, max_steps: int) -> int | None:
-    """Steps until the program halts, or None if it runs past max_steps.
-
-    Every executed instruction counts as one step, including HALT, so a
-    bare HALT program halts in one step and the empty program in zero.
-    """
-    _check_stage_bound(max_steps)
-    _check_program("program", program)
-    return _run(program, max_steps)
-
-
 def _run(program: Program, max_steps: int) -> int | None:
+    """Steps until the program halts, each executed instruction (HALT too) one step, or None past max_steps."""
     pc = 0
     regs = [0, 0]
     steps = 0

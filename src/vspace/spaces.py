@@ -88,28 +88,13 @@ def make_space(
     return FiniteVSpace(num_points, systems, mode)
 
 
-def validate_system(
-    system: VicinitySystem,
-    num_points: int | None = None,
-    mode: str | None = None,
-) -> list[Violation]:
-    """All invariant violations of one system (empty list means valid).
-
-    A value that is not a ``VicinitySystem`` with a hashable owner and a
-    tuple or list of vicinities, each a set, frozenset, tuple or list,
-    gets one ``bad-system`` violation and is read no further.
-    """
-    if fault := _misshapen(system) or _odd_vicinity(system.vicinities):
-        return [Violation("bad-system", getattr(system, "owner", None), fault)]
-    return _system_violations(system, num_points, mode)
-
-
 def _system_violations(system: VicinitySystem, num_points: int | None, mode: str | None) -> list[Violation]:
-    """``validate_system`` of a system the shape rule accepts.  A system
-    of one vicinity that holds its owner, checked with no range and in a
-    valid ``mode`` equal to its own, is accepted at once: its mode is then
-    valid and matches, it is not empty, its one vicinity holds the owner
-    and cannot equal another, so no rule below fires."""
+    """All violations of a system the shape rule accepts, in ``mode``
+    (the space's), range-checked against ``num_points`` unless it is None.
+    A system of one vicinity that holds its owner, checked with no range
+    and in a valid ``mode`` equal to its own, is accepted at once: its
+    mode is then valid and matches, it is not empty, its one vicinity
+    holds the owner and cannot equal another, so no rule below fires."""
     p = system.owner
     if (
         num_points is None and mode in (WEAK, STRONG) and system.mode == mode

@@ -1,5 +1,6 @@
 """What a fresh process imports: the package loads submodules on first use,
 and each CLI command loads only the modules it runs."""
+import ast
 import json
 import subprocess
 import sys
@@ -10,7 +11,8 @@ import pytest
 import vspace
 import vspace.tolerance
 
-SRC = Path(__file__).parent.parent / "src"
+ROOT = Path(__file__).parent.parent
+SRC = ROOT / "src"
 S1 = Path(__file__).parent / "fixtures" / "s1.vs"
 UNUSED_BY_VALIDATE = ["vspace.coding", "vspace.tolerance", "vspace.oracles", "dataclasses"]
 
@@ -96,3 +98,17 @@ def test_a_public_name_follows_a_rebinding_in_its_home_module(monkeypatch):
     monkeypatch.undo()
     assert vspace.tolerance_report is original is vspace.tolerance.tolerance_report
     assert "tolerance_report" not in vars(vspace)
+
+
+def test_every_public_name_is_read_by_the_package_or_the_bench():
+    # A name read only by tests is a second entry into a rule that the
+    # package already runs elsewhere.  Docstrings and the _EXPORTS strings
+    # do not count; a read of the name or of an attribute so named does.
+    read = set()
+    for path in [*(SRC / "vspace").glob("*.py"), *(ROOT / "bench").glob("*.py")]:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    assert sorted(set(vspace.__all__) - read) == []

@@ -10,7 +10,6 @@ from vspace import (
     EnumerationOracle,
     ValidationError,
     machine_enumeration,
-    run_program,
 )
 from vspace import oracles
 from vspace.files import parse_oracle, serialize_oracle
@@ -40,10 +39,10 @@ def test_seven_step_program_enumerates_at_stage_seven():
     assert oracle.entries == {9: 7}
 
 
-def test_run_program_counts_the_halt_step():
-    assert run_program(((HALT,),), 10) == 1
-    assert run_program((), 10) == 0
-    assert run_program(LOOP, 10) is None
+def test_the_halt_step_counts_toward_the_stage():
+    assert machine_enumeration([((HALT,),)], 10).entries.get(0) == 1
+    assert machine_enumeration([()], 10).entries.get(0) == 0
+    assert machine_enumeration([LOOP], 10).entries.get(0) is None
 
 
 def test_decjz_decrements_then_falls_through():
@@ -57,7 +56,7 @@ def test_decjz_decrements_then_falls_through():
     )
     # Steps: 2 increments, then (dec r0, jump-on-r1) twice, then the
     # zero-test jump, then HALT.
-    assert run_program(program, 20) == 8
+    assert machine_enumeration([program], 20).entries.get(0) == 8
 
 
 def test_machine_enumeration_is_reproducible():
@@ -172,14 +171,14 @@ def test_machine_enumeration_checks_the_stage_bound_before_running(bound):
         (((HALT,),), None, "stage bound must be non-negative and an int, got None"),
         (((HALT,),), 2.5, "stage bound must be non-negative and an int, got 2.5"),
         (((HALT,),), -1, "stage bound must be non-negative and an int, got -1"),
-        ((("NOP",),), 3, r"program: bad instruction \('NOP',\) at 0"),
-        (5, 3, "program: must be a tuple or list, got int"),
+        ((("NOP",),), 3, r"program 0: bad instruction \('NOP',\) at 0"),
+        (5, 3, "program 0: must be a tuple or list, got int"),
     ],
     ids=["none-budget", "float-budget", "negative-budget", "unknown-op", "int-program"],
 )
-def test_run_program_rejects_bad_input(program, max_steps, message):
+def test_a_single_program_run_rejects_bad_input(program, max_steps, message):
     with pytest.raises(ValidationError, match=f"^{message}$"):
-        run_program(program, max_steps)
+        machine_enumeration([program], max_steps)
 
 
 def test_machine_enumeration_checks_each_program_once_before_running_any(monkeypatch):

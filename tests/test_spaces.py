@@ -19,7 +19,6 @@ from vspace import (
     make_space,
     tolerance_report,
     validate_space,
-    validate_system,
     verify_witness,
 )
 
@@ -188,15 +187,15 @@ def test_out_of_range_members_list_ints_ascending_then_the_rest():
 @pytest.mark.parametrize("mode", [STRONG, WEAK])
 @pytest.mark.parametrize("member", [[1], -1, True], ids=repr)
 def test_a_system_reports_members_that_are_not_points_in_either_mode(mode, member):
-    system = VicinitySystem(0, ([0], [0, member]), mode)
-    assert validate_system(system, 2, mode) == [
+    space = FiniteVSpace(2, {0: VicinitySystem(0, ([0], [0, member]), mode), 1: VicinitySystem(1, ([1],), mode)}, mode)
+    assert validate_space(space) == [
         spaces.Violation("member-out-of-range", 0, f"vicinity 1 members [{member!r}] outside 0..1")
     ]
 
 
 @pytest.mark.parametrize("mode", [STRONG, WEAK])
 def test_an_empty_system_is_reported_in_either_mode(mode):
-    assert validate_system(VicinitySystem(0, (), mode), 1, mode) == [
+    assert validate_space(FiniteVSpace(1, {0: VicinitySystem(0, (), mode)}, mode)) == [
         spaces.Violation("empty-system", 0, "system has no vicinities")
     ]
 
@@ -309,12 +308,12 @@ def test_a_vicinity_of_a_subclass_of_an_accepted_type_is_read():
     assert is_connected(space, 0, 1).connected
 
 
-def test_validate_space_matches_validate_system_in_key_order():
+def test_validate_space_matches_the_per_system_rules_in_key_order():
     # Members are range-checked once per vicinity object, vicinity types
     # are scanned once for the whole space, and a system of one vicinity
     # that holds its key is accepted in one check; the violations must
-    # still be the space's own, then those of validate_system on each
-    # system, in key order.
+    # still be the space's own, then per system its one shape violation
+    # or those of the full range-checked rules, in key order.
     for seed in range(1000):
         rng = random.Random(31_000 + seed)
         shape_rng = random.Random(41_000 + seed)
@@ -343,18 +342,20 @@ def test_validate_space_matches_validate_system_in_key_order():
             if not (type(key) is int and 0 <= key < n):
                 expected.append(spaces.Violation("unknown-point", key, f"system keyed by point outside 0..{n - 1}"))
                 continue
-            found = validate_system(system, n, space_mode)
-            if found and found[0].kind == "bad-system":
-                expected.append(spaces.Violation("bad-system", key, found[0].detail))
+            if fault := spaces._misshapen(system) or spaces._odd_vicinity(system.vicinities):
+                expected.append(spaces.Violation("bad-system", key, fault))
                 continue
             if system.owner != key:
                 expected.append(spaces.Violation("owner-mismatch", key, f"system owner is {system.owner}"))
-            expected += found
-        assert validate_space(FiniteVSpace(n, systems, space_mode)) == expected, seed
+            expected += spaces._system_violations(system, n, space_mode)
+        found = validate_space(FiniteVSpace(n, systems, space_mode))
+        assert found == expected, seed
+        # Violations are reported at keys, never at an unhashable owner.
+        hash(tuple(found))
 
 
 ONE_PREMISE_BROKEN = {
-    # (system, num_points, mode): what the full rules of validate_system
+    # (system, num_points, mode): what the rules after the shape check
     # return, for a system that misses one premise of its one-check accept.
     "owner-missing": ((_system(0, {1}), None, STRONG), ["owner-not-in-vicinity (point 0): vicinity 0 does not contain its owner"]),
     "mode-mismatch": ((_system(0, {0}, mode=WEAK), None, STRONG), ["mode-mismatch (point 0): system mode weak != space mode strong"]),
@@ -371,7 +372,7 @@ ONE_PREMISE_BROKEN = {
 @pytest.mark.parametrize("case", sorted(ONE_PREMISE_BROKEN))
 def test_one_vicinity_accept_needs_every_premise(case):
     args, expected = ONE_PREMISE_BROKEN[case]
-    assert [str(v) for v in validate_system(*args)] == expected
+    assert [str(v) for v in spaces._system_violations(*args)] == expected
 
 
 MISSHAPEN_SYSTEMS = {
@@ -396,7 +397,6 @@ def test_a_misshapen_system_is_one_bad_system_violation(case):
     assert [str(v) for v in validate_space(space)] == [
         f"bad-system (point 0): {detail}", "unknown-point (point 5): system keyed by point outside 0..1"
     ]
-    assert [(v.kind, v.detail) for v in validate_system(system)] == [("bad-system", detail)]
     with pytest.raises(ValidationError, match=r"invalid space: bad-system \(point 0\)"):
         is_connected(space, 0, 1)
 
