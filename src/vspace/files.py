@@ -7,11 +7,11 @@ separate tokens and a CR before the LF is stripped.  Every number is a
 non-negative integer written in ASCII decimal digits (no sign, ``_`` or
 other scripts' digits).  Serialization is canonical (single spaces, LF
 line ends, points ascending, vicinity members ascending, no comments)
-and refuses labels outside ``[A-Za-z0-9_]`` and labels or endpoints on
-points outside the space, so parsing a canonical file followed by
-serializing reproduces it byte for byte.  Covers are read
-without the space they belong to; the library checks that a cover names
-every point of its space and no other.
+and refuses labels that are not strings over ``[A-Za-z0-9_]``, labels or
+endpoints on points outside the space, and cover points or indices that
+are not ints >= 0, so a canonical file parses and re-serializes byte for
+byte.  Covers are read without the space they belong to; the library
+checks that a cover names every point of its space and no other.
 
 SpaceFile::
 
@@ -182,7 +182,7 @@ def serialize_space(doc: SpaceDocument) -> str:
             members = " ".join(str(m) for m in sorted(vic))
             out.append(f"vic {p}:" + (f" {members}" if members else ""))
     for p in sorted(doc.labels):
-        if not LABEL_TOKEN.match(doc.labels[p]):
+        if not (isinstance(doc.labels[p], str) and LABEL_TOKEN.match(doc.labels[p])):
             raise ValidationError(f"label {doc.labels[p]!r} of point {p} not over [A-Za-z0-9_]")
         out.append(f"label {p} {doc.labels[p]}")
     if doc.a is not None:
@@ -198,6 +198,9 @@ def parse_cover(text: str) -> dict[int, int]:
 
 
 def serialize_cover(cover: dict[int, int]) -> str:
+    for p, index in cover.items():
+        if not (type(p) is int and type(index) is int and p >= 0 and index >= 0):
+            raise ValidationError(f"cover entry {p!r}: {index!r} is not a point and an index, each an int >= 0")
     out = ["cover v1"]
     for p in sorted(cover):
         out.append(f"choose {p} {cover[p]}")

@@ -9,7 +9,8 @@ index past the end of the stored sequence denotes index 0.
 
 Everything here is immutable and purely functional; values can be shared
 freely across threads.  A space validates itself at most once and keeps
-the result; ``systems`` is read-only, so it cannot go stale.
+the result; ``systems`` is read-only and a valid system holds a tuple of
+frozensets, so the result cannot go stale.
 """
 from __future__ import annotations
 
@@ -23,8 +24,6 @@ from .errors import ValidationError
 
 WEAK = "weak"
 STRONG = "strong"
-# The types a vicinity may have, or a subclass of one.
-_VICINITY_TYPES = (frozenset, set, tuple, list)
 
 # A labeling is a total map from points to label tokens.
 Labeling = Mapping[int, str]
@@ -41,7 +40,8 @@ class Violation(Record):
 
 
 class VicinitySystem(Record):
-    """The ordered vicinities of one point."""
+    """The ordered vicinities of one point: a tuple of frozensets, the one
+    representation validation accepts (``make_space`` builds it from lists or sets)."""
 
     _fields = ("owner", "vicinities", "mode")
     _defaults = {"mode": STRONG}
@@ -72,7 +72,7 @@ def make_space(
     mode: str = STRONG,
     num_points: int | None = None,
 ) -> FiniteVSpace:
-    """Build a space from per-point vicinity lists.
+    """Build a space from per-point iterables of members, frozen into tuples of frozensets.
 
     Without ``num_points`` the space has one point more than the largest
     point, an int (not a bool) >= 0, among the keys and members.  Points
@@ -117,14 +117,8 @@ def _system_violations(system: VicinitySystem, num_points: int | None, mode: str
     if system.mode == STRONG:
         seen: dict[frozenset[int], int] = {}
         for i, vic in enumerate(system.vicinities):
-            try:
-                members = frozenset(vic)
-            except TypeError:  # an unhashable member, reported as member-out-of-range
-                continue
-            if members in seen:
-                out.append(Violation("duplicate-vicinity", p, f"vicinities {seen[members]} and {i} are equal sets"))
-            else:
-                seen[members] = i
+            if (first := seen.setdefault(vic, i)) != i:
+                out.append(Violation("duplicate-vicinity", p, f"vicinities {first} and {i} are equal sets"))
     return out
 
 
@@ -132,8 +126,8 @@ def _misshapen(system) -> str:
     """Why validation cannot read ``system`` ('' if it can): with ``_odd_vicinity``, the one shape rule."""
     if not isinstance(system, VicinitySystem):
         return f"system is a {type(system).__name__}, not a VicinitySystem"
-    if not isinstance(system.vicinities, (tuple, list)):
-        return f"vicinities are a {type(system.vicinities).__name__}, not a tuple or list"
+    if not isinstance(system.vicinities, tuple):
+        return f"vicinities are a {type(system.vicinities).__name__}, not a tuple"
     try:
         hash(system.owner)
     except TypeError:
@@ -144,8 +138,8 @@ def _misshapen(system) -> str:
 def _odd_vicinity(vicinities: Sequence) -> str:
     """Why validation cannot read one of the vicinities ('' if it can read each)."""
     for i, vic in enumerate(vicinities):
-        if not isinstance(vic, _VICINITY_TYPES):
-            return f"vicinity {i} is a {type(vic).__name__}, not a set, frozenset, tuple or list"
+        if not isinstance(vic, frozenset):
+            return f"vicinity {i} is a {type(vic).__name__}, not a frozenset"
     return ""
 
 
@@ -171,13 +165,13 @@ def validate_space(space: FiniteVSpace) -> list[Violation]:
     # per label class), its type in one scan, and range-check members per
     # vicinity only if one strays, so the violations and their order stay the same.
     vicinities = {id(v): v for key, system in space.systems.items() if key not in unread for v in system.vicinities}
-    if not set(map(type, vicinities.values())).issubset(_VICINITY_TYPES):
+    if not set(map(type, vicinities.values())) <= {frozenset}:
         unread.update(
             (key, Violation("bad-system", key, fault))
             for key, system in space.systems.items() if key not in unread and (fault := _odd_vicinity(system.vicinities))
         )
         # A readable vicinity of a refused system can only turn range checks on.
-        vicinities = {i: v for i, v in vicinities.items() if isinstance(v, _VICINITY_TYPES)}
+        vicinities = {i: v for i, v in vicinities.items() if isinstance(v, frozenset)}
     num_points = space.num_points if _members_stray(vicinities.values(), space.num_points) else None
     for key in sorted(space.systems, key=_point_order) if stray else sorted(space.systems):
         if key in unread:
@@ -190,10 +184,9 @@ def validate_space(space: FiniteVSpace) -> list[Violation]:
     return out
 
 
-def _members_stray(vicinities: Collection[Iterable], num_points: int) -> bool:
-    """Whether a member of the vicinities is not a point.  Types are read
-    before any member is hashed, so an unhashable member or a bool that
-    equals a point is still a stray."""
+def _members_stray(vicinities: Collection[frozenset], num_points: int) -> bool:
+    """Whether a member of the vicinities, frozensets all, is not a point.
+    Types are read first, so a bool that equals a point is still a stray."""
     if not set(map(type, chain.from_iterable(vicinities))) <= {int}:
         return True
     members = set().union(*vicinities)

@@ -430,6 +430,24 @@ def test_a_command_that_fails_after_its_work_prints_nothing(capsys, tmp_path, ar
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["code-decode", "--space", fx("coded_small.vs"), "--cover", "{bad}"],
+        [*DECODE, "--oracle", "{bad}"],
+        ["code-build", "--oracle", "{bad}", *BUILD[3:], "--out-space", "{tmp}/coded.vs", "--out-pi", "{tmp}/pi.vs"],
+        ["code-roundtrip", "--oracle", "{bad}", *BUILD[3:]],
+    ],
+    ids=["code-decode-cover", "code-decode-oracle", "code-build-oracle", "code-roundtrip-oracle"],
+)
+def test_a_cover_or_oracle_file_that_is_not_utf8_is_a_parse_error(capsys, tmp_path, argv):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"cover v1\nchoose 0 0\xff\n")
+    code, out, err = run(capsys, *(arg.format(tmp=tmp_path, bad=bad) for arg in argv))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {bad}: not UTF-8 (byte 19: ") and err.count("\n") == 1
+
+
 def test_code_decode_reports_a_bad_cover_before_a_bad_oracle(capsys, tmp_path):
     cover = tmp_path / "one.cov"
     cover.write_text("cover v1\nchoose 0 0\n")

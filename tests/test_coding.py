@@ -12,7 +12,9 @@ from vspace import (
     CodedSpaceConfig,
     CodingConfigError,
     EnumerationOracle,
+    FiniteVSpace,
     ValidationError,
+    VicinitySystem,
     build_coded_space,
     decode_from_cover,
     is_connected,
@@ -420,6 +422,19 @@ def test_decode_of_tolerant_cover():
     assert decoded[4] is False
     assert decoded[13] is False  # its own codes exceed the point bound
     assert sorted(x for x, flag in decoded.items() if flag) == [3]
+
+
+def test_decode_reads_a_hand_built_space_and_refuses_a_tuple_vicinity_at_a():
+    # The decode reads V_a as a frozenset, so a tuple V_a must be refused
+    # by validation, not reach it.
+    coded = build_coded_space(K1, K1_CONFIG)
+    cover = tolerant_cover(coded.space, coded.pi)
+    systems = {p: VicinitySystem(p, tuple(frozenset(sorted(v)) for v in s.vicinities)) for p, s in coded.space.systems.items()}
+    expected = {x: x == 3 for x in range(26) if x not in (0, 2)}
+    assert decode_from_cover(FiniteVSpace(26, systems), cover, 0, 2) == expected
+    systems[0] = VicinitySystem(0, tuple(tuple(sorted(v)) for v in systems[0].vicinities))
+    with pytest.raises(ValidationError, match=r"bad-system \(point 0\): vicinity 0 is a tuple, not a frozenset"):
+        decode_from_cover(FiniteVSpace(26, systems), cover, 0, 2)
 
 
 def test_decode_rejects_non_witness_covers():

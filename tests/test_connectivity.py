@@ -73,7 +73,7 @@ WEAK_DEDUPES = {
     "first-repeated": (1, ({1}, {1, 2}, {1}), ({1}, {1, 2})),
     "distinct": (1, ({1},), ({1},)),
     "all-equal": (0, ({0, 1}, {0, 1}, {0, 1}), ({0, 1},)),
-    "lists": (0, ([0, 1], {0}, [1, 0], [0]), ({0, 1}, {0})),
+    "interleaved": (0, ({0, 1}, {0}, {1, 0}, {0}), ({0, 1}, {0})),
 }
 
 
@@ -87,7 +87,7 @@ def _with_singletons(owner, vicinities, mode):
 @pytest.mark.parametrize("case", sorted(WEAK_DEDUPES))
 def test_a_weak_system_compiles_as_its_first_occurrence_dedupe(case):
     owner, vicinities, deduped = WEAK_DEDUPES[case]
-    weak = _with_singletons(owner, tuple(frozenset(v) if isinstance(v, set) else v for v in vicinities), WEAK)
+    weak = _with_singletons(owner, tuple(map(frozenset, vicinities)), WEAK)
     strong = _with_singletons(owner, tuple(dict.fromkeys(map(frozenset, weak.systems[owner].vicinities))), STRONG)
     assert strong.systems[owner].vicinities == tuple(map(frozenset, deduped))
     assert validate_space(weak) == validate_space(strong) == []
@@ -540,9 +540,8 @@ def test_compile_keeps_the_first_index_of_each_distinct_vicinity():
 def random_chosen_sets(rng):
     """Chosen sets of a random cover, as the objects a space would hold.
 
-    A group of points may share one set object, a point inside another
-    point's set may hold an equal but distinct copy of it, and some sets
-    are lists, possibly with repeated members.
+    A group of points may share one set object, and a point inside
+    another point's set may hold an equal but distinct copy of it.
     """
     n = rng.randint(1, 12)
     chosen = [None] * n
@@ -559,13 +558,13 @@ def random_chosen_sets(rng):
             chosen[p] = frozenset(list(rng.choice(earlier)))
         else:
             members = [p] + [q for q in range(n) if rng.random() < 0.2]
-            chosen[p] = members if rng.random() < 0.2 else frozenset(members)
+            chosen[p] = frozenset(members)
     return chosen
 
 
 def test_set_chains_match_the_mask_scan():
-    # _chain must return _path's chain, whether points share set objects,
-    # hold equal copies or lists.
+    # _chain must return _path's chain, whether points share set objects
+    # or hold equal copies.
     shared = copies = 0
     for seed in range(3_000):
         rng = random.Random(770_000 + seed)
@@ -573,7 +572,7 @@ def test_set_chains_match_the_mask_scan():
         n = len(chosen)
         shared += len({id(v) for v in chosen}) < n
         copies += len({id(v) for v in chosen}) > len({frozenset(v) for v in chosen})
-        masks = [sum(1 << m for m in set(v)) for v in chosen]
+        masks = [sum(1 << m for m in v) for v in chosen]
         space = FiniteVSpace(n, {p: VicinitySystem(p, (v,), WEAK) for p, v in enumerate(chosen)}, WEAK)
         cover = {p: 0 for p in range(n)}
         for a in range(n):

@@ -272,10 +272,13 @@ point_keys = st.one_of(st.integers(-2, 4), st.booleans(), st.floats(0, 2), st.te
 @example({}, None, 2)
 @example({True: "A"}, None, None)
 @example({}, 1.0, None)
+@example({0: 1}, None, None)
+@example({0: None}, None, None)
+@example({0: b"A"}, None, None)
 @given(
     st.dictionaries(
         point_keys,
-        st.one_of(st.text(), st.from_regex(r"[A-Za-z0-9_]{1,3}", fullmatch=True)),
+        st.one_of(st.text(), st.from_regex(r"[A-Za-z0-9_]{1,3}", fullmatch=True), st.integers(), st.none()),
         max_size=3,
     ),
     st.none() | point_keys,
@@ -288,6 +291,23 @@ def test_serialized_labels_read_back_or_are_refused(labels, a, b):
     except ValidationError:
         return
     assert parse_space(text) == doc
+
+
+@example({0: "x"})
+@example({0: 0, "x": 1})
+@example({-1: 0})
+@example({0: -1})
+@example({True: 0})
+@example({0: False})
+@example({0: 1.0})
+@given(st.dictionaries(point_keys, point_keys, max_size=3))
+def test_serialized_covers_read_back_or_are_refused(cover):
+    try:
+        text = serialize_cover(cover)
+    except ValidationError as error:
+        assert "is not a point and an index, each an int >= 0" in str(error)
+        return
+    assert parse_cover(text) == cover
 
 
 @given(st.dictionaries(st.integers(0, 50), st.integers(0, 50)))
