@@ -99,6 +99,8 @@ def chain_exists(space: FiniteVSpace, cover: Cover, a: int, b: int) -> list[int]
     neighbours in ascending order, so the result is deterministic.
     """
     require_valid_space(space)
+    if not isinstance(cover, Mapping):
+        raise ValidationError(f"cover must be a mapping from points to indices, got a {type(cover).__name__}")
     if missing := [p for p in space.points if p not in cover]:
         raise ValidationError(f"cover missing points {missing}")
     if stray := _not_points(cover, space.num_points):

@@ -8,10 +8,12 @@ non-negative integer written in ASCII decimal digits (no sign, ``_`` or
 other scripts' digits).  Serialization is canonical (single spaces, LF
 line ends, points ascending, vicinity members ascending, no comments)
 and refuses labels that are not strings over ``[A-Za-z0-9_]``, labels or
-endpoints on points outside the space, and cover points or indices that
-are not ints >= 0, so a canonical file parses and re-serializes byte for
-byte.  Covers are read without the space they belong to; the library
-checks that a cover names every point of its space and no other.
+endpoints on points outside the space, cover points or indices that are
+not ints >= 0, and a space that would not read back as itself: one with
+a violation other than those in ``_WRITABLE``, or with a member that is
+not an int >= 0.  So a canonical file parses and re-serializes byte for
+byte, and a written space parses back equal.  Covers are read without
+the space they belong to; the library checks that a cover names every point of its space and no other.
 
 SpaceFile::
 
@@ -172,8 +174,26 @@ def parse_space(text: str) -> SpaceDocument:
     return SpaceDocument(space, labels, endpoints.get("a"), endpoints.get("b"))
 
 
+# The violations a space file can hold: it gives each point a system of
+# the space's mode, read back in order, of vicinities of ints >= 0.
+_WRITABLE = ("empty-system", "owner-not-in-vicinity", "duplicate-vicinity", "member-out-of-range")
+
+
+def _require_writable(space: FiniteVSpace) -> None:
+    """Refuse a space that would not parse back equal to itself."""
+    if not space.violations:
+        return
+    if unwritable := [str(v) for v in space.violations if v.kind not in _WRITABLE]:
+        raise ValidationError("a space file cannot hold " + "; ".join(unwritable))
+    for p in space.points:
+        for vic in space.systems[p].vicinities:
+            if odd := sorted(repr(m) for m in vic if not (type(m) is int and m >= 0)):
+                raise ValidationError(f"a space file cannot hold members {', '.join(odd)} of point {p}: not ints >= 0")
+
+
 def serialize_space(doc: SpaceDocument) -> str:
     space = doc.space
+    _require_writable(space)
     named = [p for p in (*doc.labels, doc.a, doc.b) if p is not None]
     require_points(space, named, "labelled points or endpoints")
     out = ["vspace v1", f"mode {space.mode}", f"points {space.num_points}"]

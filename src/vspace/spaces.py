@@ -17,7 +17,7 @@ from __future__ import annotations
 from functools import cached_property
 from itertools import chain
 from types import MappingProxyType
-from typing import Collection, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from ._record import Record
 from .errors import ValidationError
@@ -88,42 +88,8 @@ def make_space(
     return FiniteVSpace(num_points, systems, mode)
 
 
-def _system_violations(system: VicinitySystem, num_points: int | None, mode: str | None) -> list[Violation]:
-    """All violations of a system the shape rule accepts, in ``mode``
-    (the space's), range-checked against ``num_points`` unless it is None.
-    A system of one vicinity that holds its owner, checked with no range
-    and in a valid ``mode`` equal to its own, is accepted at once: its
-    mode is then valid and matches, it is not empty, its one vicinity
-    holds the owner and cannot equal another, so no rule below fires."""
-    p = system.owner
-    if (
-        num_points is None and mode in (WEAK, STRONG) and system.mode == mode
-        and len(system.vicinities) == 1 and p in system.vicinities[0]
-    ):
-        return []
-    out: list[Violation] = []
-    if system.mode not in (WEAK, STRONG):
-        out.append(Violation("bad-mode", p, f"unknown mode {system.mode!r}"))
-    if mode is not None and system.mode != mode:
-        out.append(Violation("mode-mismatch", p, f"system mode {system.mode} != space mode {mode}"))
-    if not system.vicinities:
-        out.append(Violation("empty-system", p, "system has no vicinities"))
-    for i, vic in enumerate(system.vicinities):
-        if p not in vic:
-            out.append(Violation("owner-not-in-vicinity", p, f"vicinity {i} does not contain its owner"))
-        if num_points is not None:
-            if stray := _not_points(vic, num_points):
-                out.append(Violation("member-out-of-range", p, f"vicinity {i} members {stray} outside 0..{num_points - 1}"))
-    if system.mode == STRONG:
-        seen: dict[frozenset[int], int] = {}
-        for i, vic in enumerate(system.vicinities):
-            if (first := seen.setdefault(vic, i)) != i:
-                out.append(Violation("duplicate-vicinity", p, f"vicinities {first} and {i} are equal sets"))
-    return out
-
-
 def _misshapen(system) -> str:
-    """Why validation cannot read ``system`` ('' if it can): with ``_odd_vicinity``, the one shape rule."""
+    """Why validation cannot read ``system`` ('' if it can): the one shape rule."""
     if not isinstance(system, VicinitySystem):
         return f"system is a {type(system).__name__}, not a VicinitySystem"
     if not isinstance(system.vicinities, tuple):
@@ -132,65 +98,91 @@ def _misshapen(system) -> str:
         hash(system.owner)
     except TypeError:
         return f"owner is an unhashable {type(system.owner).__name__}"
-    return ""
-
-
-def _odd_vicinity(vicinities: Sequence) -> str:
-    """Why validation cannot read one of the vicinities ('' if it can read each)."""
-    for i, vic in enumerate(vicinities):
+    for i, vic in enumerate(system.vicinities):
         if not isinstance(vic, frozenset):
             return f"vicinity {i} is a {type(vic).__name__}, not a frozenset"
     return ""
+
+
+def _key_violations(space: FiniteVSpace, key, strays: dict[int, list]) -> list[Violation]:
+    """The violations of the system at ``key``, rule by rule.  A key that is
+    not a point, or a system that validation cannot read, is one violation.
+    ``strays`` keeps each vicinity object's members that are not points, by
+    ``id``, so a vicinity shared by many keys is range-checked once."""
+    n = space.num_points
+    if _not_points([key], n):
+        return [Violation("unknown-point", key, f"system keyed by point outside 0..{n - 1}")]
+    system = space.systems[key]
+    if fault := _misshapen(system):
+        return [Violation("bad-system", key, fault)]
+    p = system.owner
+    out: list[Violation] = []
+    if p != key:
+        out.append(Violation("owner-mismatch", key, f"system owner is {p}"))
+    if system.mode not in (WEAK, STRONG):
+        out.append(Violation("bad-mode", p, f"unknown mode {system.mode!r}"))
+    if space.mode is not None and system.mode != space.mode:
+        out.append(Violation("mode-mismatch", p, f"system mode {system.mode} != space mode {space.mode}"))
+    if not system.vicinities:
+        out.append(Violation("empty-system", p, "system has no vicinities"))
+    for i, vic in enumerate(system.vicinities):
+        if p not in vic:
+            out.append(Violation("owner-not-in-vicinity", p, f"vicinity {i} does not contain its owner"))
+        if (stray := strays.get(id(vic))) is None:
+            stray = strays[id(vic)] = _not_points(vic, n)
+        if stray:
+            out.append(Violation("member-out-of-range", p, f"vicinity {i} members {stray} outside 0..{n - 1}"))
+    if system.mode == STRONG:
+        seen: dict[frozenset[int], int] = {}
+        for i, vic in enumerate(system.vicinities):
+            if (first := seen.setdefault(vic, i)) != i:
+                out.append(Violation("duplicate-vicinity", p, f"vicinities {first} and {i} are equal sets"))
+    return out
+
+
+def _valid(space: FiniteVSpace) -> bool:
+    """Whether a space of valid size breaks no rule, read in one scan: the
+    keys and systems once, then each distinct vicinity object's members.
+    False on a valid space whose vicinity is a frozenset subclass."""
+    n, mode = space.num_points, space.mode
+    if mode not in (WEAK, STRONG) or len(space.systems) != n:
+        return False
+    vicinities: dict[int, frozenset] = {}
+    for key, system in space.systems.items():
+        if not (type(key) is int and 0 <= key < n and type(system) is VicinitySystem):
+            return False
+        p, vics = system.owner, system.vicinities
+        if p != key or system.mode != mode or type(vics) is not tuple or not vics:
+            return False
+        for vic in vics:
+            if type(vic) is not frozenset or p not in vic:
+                return False
+            vicinities[id(vic)] = vic
+        if mode == STRONG and len(vics) > 1 and len(set(vics)) < len(vics):
+            return False
+    # Types are read member by member, so a bool that equals a point is refused.
+    if not set(map(type, chain.from_iterable(vicinities.values()))) <= {int}:
+        return False
+    members = set().union(*vicinities.values())
+    return not members or (min(members) >= 0 and max(members) < n)
 
 
 def validate_space(space: FiniteVSpace) -> list[Violation]:
     """All invariant violations of a candidate space (empty list = valid)."""
     if not (type(space.num_points) is int and space.num_points >= 0):
         return [Violation("bad-size", None, f"point count {space.num_points!r} is not an int >= 0")]
+    if _valid(space):
+        return []
     out: list[Violation] = []
     if space.mode not in (WEAK, STRONG):
         out.append(Violation("bad-mode", None, f"unknown mode {space.mode!r}"))
     for p in space.points:
         if p not in space.systems:
             out.append(Violation("missing-system", p, "point has no vicinity system"))
-    stray = _not_points(space.systems, space.num_points)
-    # A key that is not a point, or whose system validation cannot read,
-    # gets its one violation and is read no further.
-    unread = {key: Violation("unknown-point", key, f"system keyed by point outside 0..{space.num_points - 1}") for key in stray}
-    unread.update(
-        (key, Violation("bad-system", key, fault))
-        for key, system in space.systems.items() if key not in unread and (fault := _misshapen(system))
-    )
-    # Read each distinct vicinity object once (an induced space shares one
-    # per label class), its type in one scan, and range-check members per
-    # vicinity only if one strays, so the violations and their order stay the same.
-    vicinities = {id(v): v for key, system in space.systems.items() if key not in unread for v in system.vicinities}
-    if not set(map(type, vicinities.values())) <= {frozenset}:
-        unread.update(
-            (key, Violation("bad-system", key, fault))
-            for key, system in space.systems.items() if key not in unread and (fault := _odd_vicinity(system.vicinities))
-        )
-        # A readable vicinity of a refused system can only turn range checks on.
-        vicinities = {i: v for i, v in vicinities.items() if isinstance(v, frozenset)}
-    num_points = space.num_points if _members_stray(vicinities.values(), space.num_points) else None
-    for key in sorted(space.systems, key=_point_order) if stray else sorted(space.systems):
-        if key in unread:
-            out.append(unread[key])
-            continue
-        system = space.systems[key]
-        if system.owner != key:
-            out.append(Violation("owner-mismatch", key, f"system owner is {system.owner}"))
-        out.extend(_system_violations(system, num_points, space.mode))
+    strays: dict[int, list] = {}
+    for key in sorted(space.systems, key=_point_order):
+        out += _key_violations(space, key, strays)
     return out
-
-
-def _members_stray(vicinities: Collection[frozenset], num_points: int) -> bool:
-    """Whether a member of the vicinities, frozensets all, is not a point.
-    Types are read first, so a bool that equals a point is still a stray."""
-    if not set(map(type, chain.from_iterable(vicinities))) <= {int}:
-        return True
-    members = set().union(*vicinities)
-    return bool(members) and (min(members) < 0 or max(members) >= num_points)
 
 
 def require_valid_space(space: FiniteVSpace) -> None:

@@ -207,6 +207,10 @@ INCOMPLETE_COVERS = {
     "missing": ({0: 0, 2: 0}, r"cover missing points \[1\]"),
     "stray": ({**C1, 3: 0}, r"cover mentions unknown points \[3\]"),
     "stray-mixed": ({**C1, "x": 0, 5: 0}, r"cover mentions unknown points \[5, 'x'\]"),
+    # A sequence is not read as a cover by its values.
+    "list": ([0, 0, 0], "cover must be a mapping from points to indices, got a list"),
+    "tuple": ((0, 0, 0), "cover must be a mapping from points to indices, got a tuple"),
+    "str": ("000", "cover must be a mapping from points to indices, got a str"),
 }
 WITNESS_FUNCTIONS = {
     "chain_exists": chain_exists,

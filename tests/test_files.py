@@ -1,3 +1,4 @@
+import random
 import sys
 from pathlib import Path
 
@@ -342,3 +343,68 @@ def test_parse_inverts_serialize_on_oracles(entries_and_bound):
 def test_malformed_space_lines_are_parse_errors(body, message):
     with pytest.raises(ParseError, match=f"^{message}$"):
         parse_space(f"vspace v1\nmode strong\npoints 1\n{body}\n")
+
+
+def _system(owner, *vicinities, mode=STRONG):
+    return VicinitySystem(owner, tuple(frozenset(v) for v in vicinities), mode)
+
+
+UNWRITABLE_SPACES = {
+    # Each would be written as a different space, or as text parse_space refuses.
+    "float-member": (make_space({0: [{0, 1.5}]}, num_points=1), "members 1.5 of point 0: not ints >= 0"),
+    "bool-member": (make_space({0: [{0, True}]}, num_points=1), "members True of point 0: not ints >= 0"),
+    "negative-member": (make_space({0: [{0, -1}]}, num_points=1), "members -1 of point 0: not ints >= 0"),
+    "mixed-members": (make_space({0: [{0, "x", 2.5}]}, num_points=1), "members 'x', 2.5 of point 0: not ints >= 0"),
+    "missing-system": (FiniteVSpace(2, {0: _system(0, {0})}), r"missing-system \(point 1\)"),
+    "bad-system": (FiniteVSpace(1, {0: [frozenset({0})]}), r"bad-system \(point 0\)"),
+    "unknown-point": (make_space({0: [{0}], 5: [{5}]}, num_points=1), r"unknown-point \(point 5\)"),
+    "owner-mismatch": (FiniteVSpace(2, {0: _system(1, {0, 1}), 1: _system(1, {1})}), r"owner-mismatch \(point 0\)"),
+    "mode-mismatch": (FiniteVSpace(1, {0: _system(0, {0}, mode=WEAK)}), r"mode-mismatch \(point 0\)"),
+    "space-mode": (FiniteVSpace(1, {0: _system(0, {0}, mode="odd")}, "odd"), r"bad-mode \(space\)"),
+    "bad-size": (FiniteVSpace(-1, {}), r"bad-size \(space\)"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNWRITABLE_SPACES))
+def test_serialize_refuses_a_space_the_format_cannot_hold(case):
+    space, message = UNWRITABLE_SPACES[case]
+    with pytest.raises(ValidationError, match=f"^a space file cannot hold .*{message}"):
+        serialize_space(SpaceDocument(space))
+
+
+def test_serialize_writes_the_violations_the_format_holds():
+    space = FiniteVSpace(3, {0: _system(0, {1}, {0, 7}, {0, 7}), 1: _system(1), 2: _system(2, {2})})
+    assert [v.kind for v in space.violations] == [
+        "owner-not-in-vicinity", "member-out-of-range", "member-out-of-range", "duplicate-vicinity", "empty-system"
+    ]
+    text = serialize_space(SpaceDocument(space))
+    assert text == "vspace v1\nmode strong\npoints 3\nvic 0: 1\nvic 0: 0 7\nvic 0: 0 7\nvic 2: 2\n"
+    assert parse_space(text).space == space
+
+
+def test_every_space_serialize_accepts_reads_back_equal():
+    rng = random.Random(2024)
+    written = 0
+    for _ in range(3000):
+        n = rng.randint(0, 5)
+        mode = rng.choice([STRONG, WEAK])
+        keys = [p for p in range(n) if rng.random() < 0.95] + [rng.choice([n, -1, True, "x"])] * (rng.random() < 0.2)
+        members = [*range(n + 2)] + [rng.choice([-1, True, 1.5, "y"])] * (rng.random() < 0.2)
+        systems = {
+            key: VicinitySystem(
+                rng.choice([key] * 9 + [0]),
+                tuple(frozenset(rng.sample(members, rng.randint(0, 2)) + [key] * (rng.random() < 0.8))
+                      for _ in range(rng.randint(0, 3))),
+                rng.choice([mode] * 9 + [STRONG if mode == WEAK else WEAK]),
+            )
+            for key in keys
+        }
+        space = FiniteVSpace(n, systems, mode)
+        try:
+            text = serialize_space(SpaceDocument(space))
+        except ValidationError:
+            continue
+        written += 1
+        back = parse_space(text).space
+        assert back == space and back.violations == space.violations
+    assert written > 1000

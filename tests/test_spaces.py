@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -147,7 +148,7 @@ def test_induced_space_injective_labeling():
 
 
 def test_every_producer_of_spaces_holds_tuples_of_frozensets():
-    # The bulk type scan in validate_space is fastest when every vicinity
+    # validate_space accepts a space in one scan only when every vicinity
     # is exactly a frozenset, so each producer must hold no other type.
     produced = [
         make_space({0: [[0, 1]], 1: [(1,), {1, 2}], 2: [frozenset({2})]}),
@@ -314,12 +315,38 @@ def test_a_vicinity_of_a_subclass_of_an_accepted_type_is_read():
     assert is_connected(space, 0, 1).connected
 
 
+def _rules(space):
+    """validate_space's verdict from the per-key rules alone, with no shared memo."""
+    n = space.num_points
+    expected = [spaces.Violation("bad-mode", None, f"unknown mode {space.mode!r}")] if space.mode not in (STRONG, WEAK) else []
+    expected += [spaces.Violation("missing-system", p, "point has no vicinity system") for p in range(n) if p not in space.systems]
+    for key in sorted(space.systems, key=spaces._point_order):
+        expected += spaces._key_violations(space, key, {})
+    return expected
+
+
+def _holds_a_subclass(space):
+    return any(
+        type(v) is _Members
+        for system in space.systems.values() if isinstance(system, VicinitySystem) and isinstance(system.vicinities, tuple)
+        for v in system.vicinities
+    )
+
+
+def _check_against_the_rules(space, label):
+    expected = _rules(space)
+    found = validate_space(space)
+    assert found == expected, label
+    # The one-scan accept holds exactly when the rules find nothing, but may
+    # leave a clean space holding a frozenset subclass to the rules.
+    assert spaces._valid(space) == (not expected) or (not expected and _holds_a_subclass(space)), label
+    return found
+
+
 def test_validate_space_matches_the_per_system_rules_in_key_order():
-    # Members are range-checked once per vicinity object, vicinity types
-    # are scanned once for the whole space, and a system of one vicinity
-    # that holds its key is accepted in one check; the violations must
-    # still be the space's own, then per system its one shape violation
-    # or those of the full range-checked rules, in key order.
+    # A valid space is accepted in one scan and any other is reported by
+    # the per-key rules, with each vicinity object range-checked once; the
+    # violations must be the space's own, then per key those of the rules.
     for seed in range(1000):
         rng = random.Random(31_000 + seed)
         shape_rng = random.Random(41_000 + seed)
@@ -340,44 +367,78 @@ def test_validate_space_matches_the_per_system_rules_in_key_order():
             owner = [owner] if shape_rng.random() < 0.02 else owner
             system_mode = rng.choice([mode] * 8 + [STRONG if mode == WEAK else WEAK, "odd"])
             systems[key] = VicinitySystem(owner, tuple(vics), system_mode)
-        expected = [spaces.Violation("bad-mode", None, "unknown mode 'odd'")] if space_mode == "odd" else []
-        expected += [spaces.Violation("missing-system", p, "point has no vicinity system") for p in range(n) if p not in systems]
-        for key in sorted(systems, key=spaces._point_order):
-            system = systems[key]
-            if not (type(key) is int and 0 <= key < n):
-                expected.append(spaces.Violation("unknown-point", key, f"system keyed by point outside 0..{n - 1}"))
-                continue
-            if fault := spaces._misshapen(system) or spaces._odd_vicinity(system.vicinities):
-                expected.append(spaces.Violation("bad-system", key, fault))
-                continue
-            if system.owner != key:
-                expected.append(spaces.Violation("owner-mismatch", key, f"system owner is {system.owner}"))
-            expected += spaces._system_violations(system, n, space_mode)
-        found = validate_space(FiniteVSpace(n, systems, space_mode))
-        assert found == expected, seed
+        found = _check_against_the_rules(FiniteVSpace(n, systems, space_mode), seed)
         # Violations are reported at keys, never at an unhashable owner.
         hash(tuple(found))
+    # Every 3-point space of the exhaustive sweep (one or two vicinities per
+    # point, each holding it), and every one of one vicinity within 0..3.
+    one = [frozenset(q for q in range(4) if mask >> q & 1) for mask in range(16)]
+    for mode in (STRONG, WEAK):
+        sweep = []
+        for p in range(3):
+            held = [v | {p} for v in one[:8] if p not in v]
+            sweep.append([(s,) for s in held] + [(s, t) for s in held for t in held if s != t])
+        for per_point in (sweep, [[(v,) for v in one]] * 3):
+            for combo in itertools.product(*per_point):
+                space = FiniteVSpace(3, {p: VicinitySystem(p, combo[p], mode) for p in range(3)}, mode)
+                _check_against_the_rules(space, (mode, combo))
 
 
-ONE_PREMISE_BROKEN = {
-    # (system, num_points, mode): what the rules after the shape check
-    # return, for a system that misses one premise of its one-check accept.
-    "owner-missing": ((_system(0, {1}), None, STRONG), ["owner-not-in-vicinity (point 0): vicinity 0 does not contain its owner"]),
-    "mode-mismatch": ((_system(0, {0}, mode=WEAK), None, STRONG), ["mode-mismatch (point 0): system mode weak != space mode strong"]),
-    "mode-none": ((_system(0, {0}, mode=None), None, None), ["bad-mode (point 0): unknown mode None"]),
-    "mode-odd": ((_system(0, {0}, mode="odd"), None, "odd"), ["bad-mode (point 0): unknown mode 'odd'"]),
-    "stray-member": ((_system(0, {0, 5}), 1, STRONG), ["member-out-of-range (point 0): vicinity 0 members [5] outside 0..0"]),
+class _Counted(frozenset):
+    """A vicinity that counts how often it is iterated."""
+
+    iterations = 0
+
+    def __iter__(self):
+        self.iterations += 1
+        return super().__iter__()
+
+
+def test_a_vicinity_shared_by_many_keys_is_read_as_often_as_by_few():
+    iterations = []
+    for n in (10, 1000):
+        shared = _Counted(range(n))
+        systems = {p: VicinitySystem(p, (shared,)) for p in range(n)}
+        systems[0] = VicinitySystem(1, (shared,))
+        assert [str(v) for v in validate_space(FiniteVSpace(n, systems))] == ["owner-mismatch (point 0): system owner is 1"]
+        iterations.append(shared.iterations)
+    assert iterations[0] == iterations[1]
+
+
+ONE_RULE_BROKEN = {
+    # A one-vicinity space that breaks one rule of the one-scan accept.
+    "owner-missing": (
+        FiniteVSpace(2, {0: _system(0, {1}), 1: _system(1, {1})}),
+        ["owner-not-in-vicinity (point 0): vicinity 0 does not contain its owner"],
+    ),
+    "mode-mismatch": (
+        FiniteVSpace(1, {0: _system(0, {0}, mode=WEAK)}),
+        ["mode-mismatch (point 0): system mode weak != space mode strong"],
+    ),
+    "mode-none": (
+        FiniteVSpace(1, {0: _system(0, {0}, mode=None)}, None),
+        ["bad-mode (space): unknown mode None", "bad-mode (point 0): unknown mode None"],
+    ),
+    "mode-odd": (
+        FiniteVSpace(1, {0: _system(0, {0}, mode="odd")}, "odd"),
+        ["bad-mode (space): unknown mode 'odd'", "bad-mode (point 0): unknown mode 'odd'"],
+    ),
+    "stray-member": (
+        FiniteVSpace(1, {0: _system(0, {0, 5})}),
+        ["member-out-of-range (point 0): vicinity 0 members [5] outside 0..0"],
+    ),
     "two-vicinities": (
-        (_system(0, {0}, {0}), None, STRONG),
+        FiniteVSpace(1, {0: _system(0, {0}, {0})}),
         ["duplicate-vicinity (point 0): vicinities 0 and 1 are equal sets"],
     ),
 }
 
 
-@pytest.mark.parametrize("case", sorted(ONE_PREMISE_BROKEN))
-def test_one_vicinity_accept_needs_every_premise(case):
-    args, expected = ONE_PREMISE_BROKEN[case]
-    assert [str(v) for v in spaces._system_violations(*args)] == expected
+@pytest.mark.parametrize("case", sorted(ONE_RULE_BROKEN))
+def test_a_space_breaking_one_rule_gets_its_violations(case):
+    space, expected = ONE_RULE_BROKEN[case]
+    assert not spaces._valid(space)
+    assert [str(v) for v in validate_space(space)] == expected
 
 
 MISSHAPEN_SYSTEMS = {
