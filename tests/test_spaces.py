@@ -406,7 +406,7 @@ def test_a_vicinity_shared_by_many_keys_is_read_as_often_as_by_few():
 
 
 ONE_RULE_BROKEN = {
-    # A one-vicinity space that breaks one rule of the one-scan accept.
+    # A small space that breaks one rule of the one-scan accept.
     "owner-missing": (
         FiniteVSpace(2, {0: _system(0, {1}), 1: _system(1, {1})}),
         ["owner-not-in-vicinity (point 0): vicinity 0 does not contain its owner"],
