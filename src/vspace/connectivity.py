@@ -70,6 +70,10 @@ class ConnectivityVerdict(Record):
     _defaults = {"witness": None}
 
 
+# Every connected verdict: it carries no data, and records are immutable.
+_CONNECTED = ConnectivityVerdict(True)
+
+
 def require_search(engine: str, max_covers: int) -> None:
     """Reject a budget that is not an int >= 0 (checked first), then an unknown engine."""
     if type(max_covers) is not int or max_covers < 0:
@@ -101,8 +105,9 @@ def chain_exists(space: FiniteVSpace, cover: Cover, a: int, b: int) -> list[int]
     require_valid_space(space)
     if not isinstance(cover, Mapping):
         raise ValidationError(f"cover must be a mapping from points to indices, got a {type(cover).__name__}")
-    if missing := [p for p in space.points if p not in cover]:
-        raise ValidationError(f"cover missing points {missing}")
+    for p in space.points:  # lists the missing points only when there are some
+        if p not in cover:
+            raise ValidationError(f"cover missing points {[p for p in space.points if p not in cover]}")
     if stray := _not_points(cover, space.num_points):
         raise ValidationError(f"cover mentions unknown points {stray}")
     chosen = [resolve_choice(space.systems[p], cover[p]) for p in space.points]
@@ -202,7 +207,7 @@ def _brute(choices: list[dict[int, int]], a: int, b: int, max_covers: int) -> Co
     for combo in itertools.product(*choices):
         if not _sets_reachable(combo, a, b):
             return ConnectivityVerdict(False, {p: choices[p][mask] for p, mask in enumerate(combo)})
-    return ConnectivityVerdict(True)
+    return _CONNECTED
 
 
 class _PrunedSearch:
@@ -233,7 +238,7 @@ class _PrunedSearch:
             if (witness := self.search(stack)) is not None:
                 return ConnectivityVerdict(False, witness)
             if not stack:
-                return ConnectivityVerdict(True)
+                return _CONNECTED
         raise BudgetExceededError(f"pruned search exceeded the node budget of {max_nodes}")
 
     def search(self, stack: list[tuple[int, int, int]]) -> dict[int, int] | None:
@@ -324,8 +329,13 @@ def is_connected(
     require_search(engine, max_covers)
     require_valid_space(space)
     require_points(space, (a, b), "endpoints")
+    return _decide(space, a, b, engine, max_covers)
+
+
+def _decide(space: FiniteVSpace, a: int, b: int, engine: str, max_covers: int) -> ConnectivityVerdict:
+    """``is_connected`` once its arguments have passed its checks."""
     if a == b:
-        return ConnectivityVerdict(True)
+        return _CONNECTED
     choices = _compile(space)
     if engine == "brute":
         return _brute(choices, a, b, max_covers)

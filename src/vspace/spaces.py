@@ -104,13 +104,14 @@ def _misshapen(system) -> str:
     return ""
 
 
-def _key_violations(space: FiniteVSpace, key, strays: dict[int, list]) -> list[Violation]:
-    """The violations of the system at ``key``, rule by rule.  A key that is
-    not a point, or a system that validation cannot read, is one violation.
-    ``strays`` keeps each vicinity object's members that are not points, by
-    ``id``, so a vicinity shared by many keys is range-checked once."""
+def _key_violations(space: FiniteVSpace, key, unknown: set, strays: dict[int, list]) -> list[Violation]:
+    """The violations of the system at ``key``, rule by rule.  A key in
+    ``unknown`` (the keys that are not points), or a system that validation
+    cannot read, is one violation.  ``strays`` keeps each vicinity object's
+    members that are not points, by ``id``, so a vicinity shared by many
+    keys is range-checked once."""
     n = space.num_points
-    if _not_points([key], n):
+    if key in unknown:
         return [Violation("unknown-point", key, f"system keyed by point outside 0..{n - 1}")]
     system = space.systems[key]
     if fault := _misshapen(system):
@@ -121,7 +122,7 @@ def _key_violations(space: FiniteVSpace, key, strays: dict[int, list]) -> list[V
         out.append(Violation("owner-mismatch", key, f"system owner is {p}"))
     if system.mode not in (WEAK, STRONG):
         out.append(Violation("bad-mode", p, f"unknown mode {system.mode!r}"))
-    if space.mode is not None and system.mode != space.mode:
+    if system.mode != space.mode:
         out.append(Violation("mode-mismatch", p, f"system mode {system.mode} != space mode {space.mode}"))
     if not system.vicinities:
         out.append(Violation("empty-system", p, "system has no vicinities"))
@@ -179,9 +180,12 @@ def validate_space(space: FiniteVSpace) -> list[Violation]:
     for p in space.points:
         if p not in space.systems:
             out.append(Violation("missing-system", p, "point has no vicinity system"))
+    # The keys of a dict are pairwise unequal, so a set of some of them
+    # tells exactly which keys it holds.
+    unknown = set(_not_points(space.systems, space.num_points))
     strays: dict[int, list] = {}
     for key in sorted(space.systems, key=_point_order):
-        out += _key_violations(space, key, strays)
+        out += _key_violations(space, key, unknown, strays)
     return out
 
 
@@ -197,8 +201,13 @@ def _point_order(p) -> tuple:
 
 def _not_points(items: Iterable, num_points: int) -> list:
     """The one point rule: the items that are not ints (a bool is not) in
-    0..num_points-1, in ``_point_order``."""
-    bad = [p for p in items if not (type(p) is int and 0 <= p < num_points)]
+    0..num_points-1, in ``_point_order``.  Like the other argument checks,
+    it is a plain loop: before Python 3.12 a comprehension costs a frame
+    on every call."""
+    bad = []
+    for p in items:
+        if not (type(p) is int and 0 <= p < num_points):
+            bad.append(p)
     return sorted(bad, key=_point_order) if bad else bad
 
 
@@ -207,10 +216,10 @@ def require_points(space: FiniteVSpace, points: Iterable[int], what: str) -> Non
         raise ValidationError(f"{what} {outside} are not points 0..{space.num_points - 1}")
 
 
-def require_total_labeling(pi: Labeling, points: Iterable[int]) -> None:
-    missing = [p for p in points if p not in pi]
-    if missing:
-        raise ValidationError(f"labeling undefined on points {sorted(missing)}")
+def require_total_labeling(pi: Labeling, points: Sequence[int]) -> None:
+    for p in points:
+        if p not in pi:
+            raise ValidationError(f"labeling undefined on points {sorted([p for p in points if p not in pi])}")
     for p, token in pi.items():
         if not isinstance(token, str) or not token:
             raise ValidationError(f"label of point {p} must be a non-empty string")

@@ -16,7 +16,7 @@ an unmet hypothesis is never confused with a counterexample.
 from __future__ import annotations
 
 from ._record import Record
-from .connectivity import chain_exists, is_connected, require_search
+from .connectivity import _decide, chain_exists, require_search
 from .errors import DEFAULT_MAX_COVERS, ValidationError
 from .spaces import (
     FiniteVSpace,
@@ -45,6 +45,11 @@ class ToleranceReport(Record):
 class TheoremOutcome(Record):
     _fields = ("status", "reason", "violations", "witness")
     _defaults = {"reason": None, "violations": None, "witness": None}
+
+
+# The outcomes that carry no data, shared: records are immutable.
+_EQUAL_LABELS = TheoremOutcome(NOT_APPLICABLE, reason="equal labels")
+_NOT_CONNECTED = TheoremOutcome(NOT_APPLICABLE, reason="not connected")
 
 
 def tolerance_report(space: FiniteVSpace, pi: Labeling) -> ToleranceReport:
@@ -112,10 +117,9 @@ def check_nontol(
     require_total_labeling(pi, space.points)
     require_points(space, (a, b), "endpoints")
     if pi[a] == pi[b]:
-        return TheoremOutcome(NOT_APPLICABLE, reason="equal labels")
-    verdict = is_connected(space, a, b, engine=engine, max_covers=max_covers)
-    if not verdict.connected:
-        return TheoremOutcome(NOT_APPLICABLE, reason="not connected")
+        return _EQUAL_LABELS
+    if not _decide(space, a, b, engine, max_covers).connected:  # is_connected, its checks made above
+        return _NOT_CONNECTED
     report = _tolerance(space, pi)
     if report.violations:
         return TheoremOutcome(HOLDS, violations=report.violations)

@@ -202,9 +202,10 @@ def test_cover_functions_reject_invalid_spaces(function, space):
         COVER_FUNCTIONS[function](INVALID_SPACES[space]())
 
 
-# C1 without point 1, and C1 naming a point 3 that s1 does not have.
+# C1 without point 1 (or without 0 and 2), and C1 naming a point 3 that s1 does not have.
 INCOMPLETE_COVERS = {
     "missing": ({0: 0, 2: 0}, r"cover missing points \[1\]"),
+    "missing-several": ({1: 0}, r"cover missing points \[0, 2\]"),
     "stray": ({**C1, 3: 0}, r"cover mentions unknown points \[3\]"),
     "stray-mixed": ({**C1, "x": 0, 5: 0}, r"cover mentions unknown points \[5, 'x'\]"),
     # A sequence is not read as a cover by its values.

@@ -10,8 +10,11 @@ from types import MappingProxyType
 
 import pytest
 
+import vspace.connectivity as connectivity
+import vspace.tolerance as tolerance
 from _helpers import CLONES
 from vspace import (
+    NOT_APPLICABLE,
     STRONG,
     WEAK,
     CodedSpace,
@@ -180,3 +183,24 @@ def test_a_clone_of_a_space_validates_on_first_use(clone):
     twin = clone(space)
     assert "violations" not in vars(twin)
     assert twin.violations == () and "violations" in vars(twin)
+
+
+# The answers that carry no data are module constants, shared by every call.
+SHARED = {
+    "connected": (connectivity._CONNECTED, lambda: ConnectivityVerdict(True)),
+    "equal-labels": (tolerance._EQUAL_LABELS, lambda: TheoremOutcome(NOT_APPLICABLE, reason="equal labels")),
+    "not-connected": (tolerance._NOT_CONNECTED, lambda: TheoremOutcome(NOT_APPLICABLE, reason="not connected")),
+}
+
+
+@pytest.mark.parametrize("clone", CLONES, ids=["copy", "deepcopy", "pickle"])
+@pytest.mark.parametrize("case", sorted(SHARED))
+def test_a_shared_answer_is_a_fresh_one(case, clone):
+    shared, fresh = SHARED[case]
+    assert shared == fresh() and hash(shared) == hash(fresh())
+    twin = clone(shared)
+    assert type(twin) is type(shared) and twin == shared
+    for name in shared._fields:
+        with pytest.raises(AttributeError):
+            setattr(shared, name, None)
+    assert shared == fresh()

@@ -320,8 +320,9 @@ def _rules(space):
     n = space.num_points
     expected = [spaces.Violation("bad-mode", None, f"unknown mode {space.mode!r}")] if space.mode not in (STRONG, WEAK) else []
     expected += [spaces.Violation("missing-system", p, "point has no vicinity system") for p in range(n) if p not in space.systems]
+    unknown = set(spaces._not_points(space.systems, n))
     for key in sorted(space.systems, key=spaces._point_order):
-        expected += spaces._key_violations(space, key, {})
+        expected += spaces._key_violations(space, key, unknown, {})
     return expected
 
 
@@ -423,6 +424,11 @@ ONE_RULE_BROKEN = {
         FiniteVSpace(1, {0: _system(0, {0}, mode="odd")}, "odd"),
         ["bad-mode (space): unknown mode 'odd'", "bad-mode (point 0): unknown mode 'odd'"],
     ),
+    # A space of mode None reports each system's mode, as one of mode "odd" does.
+    "mode-none-strong-system": (
+        FiniteVSpace(1, {0: _system(0, {0})}, None),
+        ["bad-mode (space): unknown mode None", "mode-mismatch (point 0): system mode strong != space mode None"],
+    ),
     "stray-member": (
         FiniteVSpace(1, {0: _system(0, {0, 5})}),
         ["member-out-of-range (point 0): vicinity 0 members [5] outside 0..0"],
@@ -490,6 +496,17 @@ def test_int_keyed_violations_follow_key_order():
 def test_empty_label_is_refused():
     with pytest.raises(ValidationError, match="label of point 0 must be a non-empty string"):
         spaces.require_total_labeling({0: ""}, [0])
+
+
+@pytest.mark.parametrize("points", [range(5), [4, 3, 0, 1, 2]], ids=["range", "list"])
+def test_a_labeling_missing_several_points_names_them_sorted(points):
+    with pytest.raises(ValidationError, match=r"^labeling undefined on points \[0, 1, 3, 4\]$"):
+        spaces.require_total_labeling({2: "A"}, points)
+
+
+def test_not_points_lists_ints_ascending_then_the_rest_by_repr():
+    assert spaces._not_points([2.5, "x", -1, True, 0, 5, 1], 3) == [-1, 5, "x", 2.5, True]
+    assert spaces._not_points(range(3), 3) == []
 
 
 @pytest.mark.parametrize("points", [[0, 2], [0, 1.0], [0, True]], ids=repr)

@@ -3,6 +3,7 @@ import time
 
 import pytest
 
+import vspace.connectivity as connectivity
 import vspace.tolerance as tolerance
 from vspace import (
     HOLDS,
@@ -15,6 +16,7 @@ from vspace import (
     check_nonconn,
     check_nontol,
     induced_space,
+    is_connected,
     make_space,
     tolerance_report,
     tolerant_cover,
@@ -71,6 +73,28 @@ def test_check_nontol_checks_the_labeling_once(monkeypatch):
     monkeypatch.setattr(tolerance, "require_total_labeling", lambda *args: checks.append(args) or original(*args))
     assert check_nontol(s2(), PI, 0, 2).status == HOLDS
     assert len(checks) == 1
+
+
+@pytest.mark.parametrize("engine", ["brute", "pruned"])
+@pytest.mark.parametrize("space, status", [(s2, HOLDS), (s1, NOT_APPLICABLE)], ids=["connected", "not-connected"])
+def test_check_nontol_checks_search_space_and_endpoints_once(monkeypatch, space, status, engine):
+    # A searched answer makes each check once, in check_nontol or in the
+    # connectivity module it searches with.
+    checks = []
+    for module in (tolerance, connectivity):
+        for name in ("require_search", "require_valid_space", "require_points"):
+            original = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *args, name=name, original=original: checks.append(name) or original(*args))
+    assert check_nontol(space(), PI, 0, 2, engine=engine).status == status
+    assert sorted(checks) == ["require_points", "require_search", "require_valid_space"]
+
+
+@pytest.mark.parametrize("engine", ["brute", "pruned"])
+def test_answers_without_data_are_the_shared_ones(engine):
+    assert check_nontol(s1(), PI, 0, 1, engine=engine) is tolerance._EQUAL_LABELS
+    assert check_nontol(s1(), PI, 0, 2, engine=engine) is tolerance._NOT_CONNECTED
+    assert is_connected(s2(), 0, 2, engine=engine) is connectivity._CONNECTED
+    assert is_connected(s1(), 1, 1, engine=engine) is connectivity._CONNECTED
 
 
 def test_check_nontol_not_applicable_when_disconnected():
