@@ -24,6 +24,7 @@ from .errors import ValidationError
 
 WEAK = "weak"
 STRONG = "strong"
+_MODES = (STRONG, WEAK)
 
 # A labeling is a total map from points to label tokens.
 Labeling = Mapping[int, str]
@@ -104,89 +105,80 @@ def _misshapen(system) -> str:
     return ""
 
 
-def _key_violations(space: FiniteVSpace, key, unknown: set, strays: dict[int, list]) -> list[Violation]:
-    """The violations of the system at ``key``, rule by rule.  A key in
-    ``unknown`` (the keys that are not points), or a system that validation
-    cannot read, is one violation.  ``strays`` keeps each vicinity object's
-    members that are not points, by ``id``, so a vicinity shared by many
-    keys is range-checked once."""
-    n = space.num_points
-    if key in unknown:
-        return [Violation("unknown-point", key, f"system keyed by point outside 0..{n - 1}")]
-    system = space.systems[key]
-    if fault := _misshapen(system):
-        return [Violation("bad-system", key, fault)]
-    p = system.owner
-    out: list[Violation] = []
-    if p != key:
-        out.append(Violation("owner-mismatch", key, f"system owner is {p}"))
-    if system.mode not in (WEAK, STRONG):
-        out.append(Violation("bad-mode", p, f"unknown mode {system.mode!r}"))
-    if system.mode != space.mode:
-        out.append(Violation("mode-mismatch", p, f"system mode {system.mode} != space mode {space.mode}"))
-    if not system.vicinities:
-        out.append(Violation("empty-system", p, "system has no vicinities"))
-    for i, vic in enumerate(system.vicinities):
-        if p not in vic:
-            out.append(Violation("owner-not-in-vicinity", p, f"vicinity {i} does not contain its owner"))
-        if (stray := strays.get(id(vic))) is None:
-            stray = strays[id(vic)] = _not_points(vic, n)
-        if stray:
-            out.append(Violation("member-out-of-range", p, f"vicinity {i} members {stray} outside 0..{n - 1}"))
-    if system.mode == STRONG:
-        seen: dict[frozenset[int], int] = {}
-        for i, vic in enumerate(system.vicinities):
-            if (first := seen.setdefault(vic, i)) != i:
-                out.append(Violation("duplicate-vicinity", p, f"vicinities {first} and {i} are equal sets"))
-    return out
-
-
-def _valid(space: FiniteVSpace) -> bool:
-    """Whether a space of valid size breaks no rule, read in one scan: the
-    keys and systems once, then each distinct vicinity object's members.
-    False on a valid space whose vicinity is a frozenset subclass."""
-    n, mode = space.num_points, space.mode
-    if mode not in (WEAK, STRONG) or len(space.systems) != n:
-        return False
-    vicinities: dict[int, frozenset] = {}
-    for key, system in space.systems.items():
-        if not (type(key) is int and 0 <= key < n and type(system) is VicinitySystem):
-            return False
-        p, vics = system.owner, system.vicinities
-        if p != key or system.mode != mode or type(vics) is not tuple or not vics:
-            return False
-        for vic in vics:
-            if type(vic) is not frozenset or p not in vic:
-                return False
-            vicinities[id(vic)] = vic
-        if mode == STRONG and len(vics) > 1 and len(set(vics)) < len(vics):
-            return False
-    # Types are read member by member, so a bool that equals a point is refused.
-    if not set(map(type, chain.from_iterable(vicinities.values()))) <= {int}:
-        return False
-    members = set().union(*vicinities.values())
-    return not members or (min(members) >= 0 and max(members) < n)
-
-
 def validate_space(space: FiniteVSpace) -> list[Violation]:
-    """All invariant violations of a candidate space (empty list = valid)."""
-    if not (type(space.num_points) is int and space.num_points >= 0):
-        return [Violation("bad-size", None, f"point count {space.num_points!r} is not an int >= 0")]
-    if _valid(space):
-        return []
-    out: list[Violation] = []
-    if space.mode not in (WEAK, STRONG):
-        out.append(Violation("bad-mode", None, f"unknown mode {space.mode!r}"))
-    for p in space.points:
-        if p not in space.systems:
-            out.append(Violation("missing-system", p, "point has no vicinity system"))
-    # The keys of a dict are pairwise unequal, so a set of some of them
-    # tells exactly which keys it holds.
-    unknown = set(_not_points(space.systems, space.num_points))
-    strays: dict[int, list] = {}
-    for key in sorted(space.systems, key=_point_order):
-        out += _key_violations(space, key, unknown, strays)
-    return out
+    """All invariant violations of a candidate space (empty list = valid),
+    found in one pass over its systems.
+
+    Each rule is checked once per key, and each finding is kept with its key
+    and its rank among that key's rules; only the findings are put in key
+    order at the end.  The members of the distinct vicinity objects, kept by
+    ``id``, are type- and range-checked together after the pass, and only
+    when that check fails are each object's strays named.
+    """
+    n, mode = space.num_points, space.mode
+    if not (type(n) is int and n >= 0):
+        return [Violation("bad-size", None, f"point count {n!r} is not an int >= 0")]
+    # A key's ranks: owner, mode and count rules 0-3, then vicinity i's
+    # owner and member rules 4+2i and 5+2i, then its duplicate after all.
+    found: list[tuple] = []
+    unread = set()  # the keys whose systems no rule below reads
+    distinct: dict[int, frozenset] = {}
+    for key, system in space.systems.items():
+        if not (type(key) is int and 0 <= key < n):
+            unread.add(key)
+            found.append((key, 0, Violation("unknown-point", key, f"system keyed by point outside 0..{n - 1}")))
+            continue
+        # A system of exactly the accepted types passes the shape rule unread.
+        # A vicinity of another type sends it to the rule after all, and a
+        # fault found then drops what the system's rules found.
+        exact = type(system) is VicinitySystem and type(system.owner) is int and type(system.vicinities) is tuple
+        if exact or not (fault := _misshapen(system)):
+            p, vics, m = system.owner, system.vicinities, system.mode
+            if p != key:
+                found.append((key, 0, Violation("owner-mismatch", key, f"system owner is {p}")))
+            if m not in _MODES:
+                found.append((key, 1, Violation("bad-mode", p, f"unknown mode {m!r}")))
+            if m != mode:
+                found.append((key, 2, Violation("mode-mismatch", p, f"system mode {m} != space mode {mode}")))
+            if not vics:
+                found.append((key, 3, Violation("empty-system", p, "system has no vicinities")))
+            i = -1
+            for vic in vics:
+                if type(vic) is not frozenset and (fault := _misshapen(system)):
+                    while found and found[-1][0] is key:
+                        found.pop()
+                    break
+                if p not in vic:
+                    # Found here first: an equal vicinity before this one would have been.
+                    i = vics.index(vic, i + 1)
+                    found.append((key, 4 + 2 * i, Violation("owner-not-in-vicinity", p, f"vicinity {i} does not contain its owner")))
+                distinct[id(vic)] = vic
+            else:
+                if m == STRONG and len(vics) > 1 and len(set(vics)) < len(vics):
+                    seen: dict[frozenset, int] = {}
+                    for i, vic in enumerate(vics):
+                        if (j := seen.setdefault(vic, i)) != i:
+                            detail = f"vicinities {j} and {i} are equal sets"
+                            found.append((key, 4 + 2 * len(vics) + i, Violation("duplicate-vicinity", p, detail)))
+                continue
+        unread.add(key)
+        found.append((key, 0, Violation("bad-system", key, fault)))
+    # Types are read member by member, so a bool that equals a point is caught.
+    vicinities = distinct.values()
+    members = set().union(*vicinities)
+    if members and not (set(map(type, chain.from_iterable(vicinities))) <= {int} and min(members) >= 0 and max(members) < n):
+        strays = {ident: _not_points(vic, n) for ident, vic in distinct.items()}
+        for key, system in space.systems.items():
+            if key not in unread:
+                for i, vic in enumerate(system.vicinities):
+                    if stray := strays[id(vic)]:
+                        detail = f"vicinity {i} members {stray} outside 0..{n - 1}"
+                        found.append((key, 5 + 2 * i, Violation("member-out-of-range", system.owner, detail)))
+    out = [] if mode in _MODES else [Violation("bad-mode", None, f"unknown mode {mode!r}")]
+    if unread or len(space.systems) != n:
+        out += [Violation("missing-system", p, "point has no vicinity system") for p in range(n) if p not in space.systems]
+    found.sort(key=lambda finding: (_point_order(finding[0]), finding[1]))
+    return out + [violation for _, _, violation in found]
 
 
 def require_valid_space(space: FiniteVSpace) -> None:

@@ -11,7 +11,7 @@ import itertools
 import pickle
 import random
 
-from vspace import STRONG, WEAK, FiniteVSpace, make_space
+from vspace import STRONG, WEAK, FiniteVSpace, VicinitySystem, Violation, make_space
 
 # Ways to clone a value: copy, deepcopy and a pickle round-trip.
 CLONES = [copy.copy, copy.deepcopy, lambda value: pickle.loads(pickle.dumps(value))]
@@ -76,6 +76,81 @@ def first_witness(space: FiniteVSpace, a: int, b: int) -> dict[int, int] | None:
         if not _reaches([raw[p][combo[p]] for p in pts], a, b):
             return dict(zip(pts, combo))
     return None
+
+
+def _is_point(p, n: int) -> bool:
+    return type(p) is int and 0 <= p < n
+
+
+def _shape_fault(system) -> str:
+    """Why a system cannot be read, as README words the shape rule ('' if it can)."""
+    if not isinstance(system, VicinitySystem):
+        return f"system is a {type(system).__name__}, not a VicinitySystem"
+    if not isinstance(system.vicinities, tuple):
+        return f"vicinities are a {type(system.vicinities).__name__}, not a tuple"
+    try:
+        hash(system.owner)
+    except TypeError:
+        return f"owner is an unhashable {type(system.owner).__name__}"
+    for i, vic in enumerate(system.vicinities):
+        if not isinstance(vic, frozenset):
+            return f"vicinity {i} is a {type(vic).__name__}, not a frozenset"
+    return ""
+
+
+def _key_rules(space: FiniteVSpace, key) -> list:
+    """The violations of the system at one key, each rule checked in turn."""
+    n = space.num_points
+    if not _is_point(key, n):
+        return [Violation("unknown-point", key, f"system keyed by point outside 0..{n - 1}")]
+    system = space.systems[key]
+    fault = _shape_fault(system)
+    if fault:
+        return [Violation("bad-system", key, fault)]
+    p, vics, mode = system.owner, system.vicinities, system.mode
+    out = []
+    if p != key:
+        out.append(Violation("owner-mismatch", key, f"system owner is {p}"))
+    if mode not in (STRONG, WEAK):
+        out.append(Violation("bad-mode", p, f"unknown mode {mode!r}"))
+    if mode != space.mode:
+        out.append(Violation("mode-mismatch", p, f"system mode {mode} != space mode {space.mode}"))
+    if len(vics) == 0:
+        out.append(Violation("empty-system", p, "system has no vicinities"))
+    for i, vic in enumerate(vics):
+        if p not in vic:
+            out.append(Violation("owner-not-in-vicinity", p, f"vicinity {i} does not contain its owner"))
+        stray = [q for q in vic if not _is_point(q, n)]
+        if stray:
+            stray = sorted(q for q in stray if type(q) is int) + sorted((q for q in stray if type(q) is not int), key=repr)
+            out.append(Violation("member-out-of-range", p, f"vicinity {i} members {stray} outside 0..{n - 1}"))
+    if mode == STRONG:
+        for i, vic in enumerate(vics):
+            for j in range(i):
+                if vics[j] == vic:
+                    out.append(Violation("duplicate-vicinity", p, f"vicinities {j} and {i} are equal sets"))
+                    break
+    return out
+
+
+def reference_violations(space: FiniteVSpace) -> list:
+    """``validate_space``'s list, rule by rule: a bad point count alone, else
+    the space's mode, the points without a system, then each key's rules, int
+    keys ascending and the others by repr."""
+    n = space.num_points
+    if not (type(n) is int and n >= 0):
+        return [Violation("bad-size", None, f"point count {n!r} is not an int >= 0")]
+    out = []
+    if space.mode not in (STRONG, WEAK):
+        out.append(Violation("bad-mode", None, f"unknown mode {space.mode!r}"))
+    for p in range(n):
+        if p not in space.systems:
+            out.append(Violation("missing-system", p, "point has no vicinity system"))
+    ints = sorted(key for key in space.systems if type(key) is int)
+    others = sorted((key for key in space.systems if type(key) is not int), key=repr)
+    for key in ints + others:
+        out += _key_rules(space, key)
+    return out
 
 
 def double_loop_tolerant(space: FiniteVSpace, pi) -> set[int]:
