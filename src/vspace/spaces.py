@@ -134,7 +134,7 @@ def validate_space(space: FiniteVSpace) -> list[Violation]:
         exact = type(system) is VicinitySystem and type(system.owner) is int and type(system.vicinities) is tuple
         if exact or not (fault := _misshapen(system)):
             p, vics, m = system.owner, system.vicinities, system.mode
-            if p != key:
+            if not (type(p) is int and p == key):
                 found.append((key, 0, Violation("owner-mismatch", key, f"system owner is {p}")))
             if m not in _MODES:
                 found.append((key, 1, Violation("bad-mode", p, f"unknown mode {m!r}")))

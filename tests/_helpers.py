@@ -109,7 +109,7 @@ def _key_rules(space: FiniteVSpace, key) -> list:
         return [Violation("bad-system", key, fault)]
     p, vics, mode = system.owner, system.vicinities, system.mode
     out = []
-    if p != key:
+    if type(p) is not int or p != key:
         out.append(Violation("owner-mismatch", key, f"system owner is {p}"))
     if mode not in (STRONG, WEAK):
         out.append(Violation("bad-mode", p, f"unknown mode {mode!r}"))

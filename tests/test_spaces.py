@@ -354,7 +354,7 @@ def generated_spaces():
 
 # The sha256 of validate_space's violations over generated_spaces(), one
 # repr per line: a change to any kind, point, detail or order moves it.
-GENERATED_VIOLATIONS_SHA256 = "0a46a4310603890f165a80e452933bd068c361401f64be31b2a98613631f989f"
+GENERATED_VIOLATIONS_SHA256 = "cf299f68ac0b957fa9664b9ef825981cab9f35e250ad3b5b7f21346e00d4880b"
 
 
 def test_validate_space_matches_the_per_system_rules_in_key_order():
@@ -421,6 +421,15 @@ ONE_RULE_BROKEN = {
     "two-vicinities": (
         FiniteVSpace(1, {0: _system(0, {0}, {0})}),
         ["duplicate-vicinity (point 0): vicinities 0 and 1 are equal sets"],
+    ),
+    # An owner is the int equal to its key, as a point is an int.
+    "float-owner": (
+        FiniteVSpace(1, {0: _system(0.0, {0})}),
+        ["owner-mismatch (point 0): system owner is 0.0"],
+    ),
+    "bool-owner": (
+        FiniteVSpace(2, {0: _system(0, {0}), 1: _system(True, {1})}),
+        ["owner-mismatch (point 1): system owner is True"],
     ),
 }
 
