@@ -179,6 +179,21 @@ def least_constant_indices(space: FiniteVSpace, pi) -> dict[int, int]:
     return out
 
 
+def antichains(p: int, n: int) -> list[tuple[frozenset[int], ...]]:
+    """Every non-empty antichain of vicinities of point p among 0..n-1:
+    families of sets holding p, none inside another, each family's sets and
+    the families in a fixed order.  A verdict reads only a point's minimal
+    options, so these are every system up to dominance (19 for n = 4)."""
+    others = [q for q in range(n) if q != p]
+    sets = [frozenset({p, *extra}) for k in range(n) for extra in itertools.combinations(others, k)]
+    return [
+        family
+        for size in range(1, len(sets) + 1)
+        for family in itertools.combinations(sets, size)
+        if not any(s < t or t < s for s, t in itertools.combinations(family, 2))
+    ]
+
+
 def random_space(rng: random.Random, max_points: int = 6, max_vics: int = 3) -> FiniteVSpace:
     n = rng.randint(2, max_points)
     mode = WEAK if rng.random() < 0.25 else STRONG
