@@ -118,19 +118,21 @@ def validate_space(space: FiniteVSpace) -> list[Violation]:
     n, mode = space.num_points, space.mode
     if not (type(n) is int and n >= 0):
         return [Violation("bad-size", None, f"point count {n!r} is not an int >= 0")]
-    # A key's ranks: owner, mode and count rules 0-3, then vicinity i's
-    # owner and member rules 4+2i and 5+2i, then its duplicate after all.
+    # A key's ranks: 0 for its one unknown-point or bad-system finding, or
+    # else owner, mode and count rules 0-3, vicinity i's owner and member
+    # rules 4+2i and 5+2i, and then the duplicates after every vicinity.
     found: list[tuple] = []
     unread = set()  # the keys whose systems no rule below reads
     distinct: dict[int, frozenset] = {}
     for key, system in space.systems.items():
         if not (type(key) is int and 0 <= key < n):
             unread.add(key)
-            found.append((key, 0, Violation("unknown-point", key, f"system keyed by point outside 0..{n - 1}")))
+            detail = f"system keyed by point outside 0..{n - 1}"
+            found.append((key, 0, Violation("unknown-point", key, detail)))
             continue
-        # A system of exactly the accepted types passes the shape rule unread.
-        # A vicinity of another type sends it to the rule after all, and a
-        # fault found then drops what the system's rules found.
+        # A system of exactly the accepted types passes the shape rule
+        # unread.  A vicinity of another type sends it to the rule after
+        # all, and a fault found then drops what the system's rules found.
         exact = type(system) is VicinitySystem and type(system.owner) is int and type(system.vicinities) is tuple
         if exact or not (fault := _misshapen(system)):
             p, vics, m = system.owner, system.vicinities, system.mode
@@ -149,9 +151,11 @@ def validate_space(space: FiniteVSpace) -> list[Violation]:
                         found.pop()
                     break
                 if p not in vic:
-                    # Found here first: an equal vicinity before this one would have been.
+                    # Searching on from the last miss finds this very vicinity:
+                    # an equal one between them would have missed p too.
                     i = vics.index(vic, i + 1)
-                    found.append((key, 4 + 2 * i, Violation("owner-not-in-vicinity", p, f"vicinity {i} does not contain its owner")))
+                    detail = f"vicinity {i} does not contain its owner"
+                    found.append((key, 4 + 2 * i, Violation("owner-not-in-vicinity", p, detail)))
                 distinct[id(vic)] = vic
             else:
                 if m == STRONG and len(vics) > 1 and len(set(vics)) < len(vics):
@@ -166,7 +170,9 @@ def validate_space(space: FiniteVSpace) -> list[Violation]:
     # Types are read member by member, so a bool that equals a point is caught.
     vicinities = distinct.values()
     members = set().union(*vicinities)
-    if members and not (set(map(type, chain.from_iterable(vicinities))) <= {int} and min(members) >= 0 and max(members) < n):
+    if members and not (
+        set(map(type, chain.from_iterable(vicinities))) <= {int} and min(members) >= 0 and max(members) < n
+    ):
         strays = {ident: _not_points(vic, n) for ident, vic in distinct.items()}
         for key, system in space.systems.items():
             if key not in unread:
@@ -176,7 +182,8 @@ def validate_space(space: FiniteVSpace) -> list[Violation]:
                         found.append((key, 5 + 2 * i, Violation("member-out-of-range", system.owner, detail)))
     out = [] if mode in _MODES else [Violation("bad-mode", None, f"unknown mode {mode!r}")]
     if unread or len(space.systems) != n:
-        out += [Violation("missing-system", p, "point has no vicinity system") for p in range(n) if p not in space.systems]
+        missing = [p for p in range(n) if p not in space.systems]
+        out += [Violation("missing-system", p, "point has no vicinity system") for p in missing]
     found.sort(key=lambda finding: (_point_order(finding[0]), finding[1]))
     return out + [violation for _, _, violation in found]
 

@@ -121,9 +121,10 @@ def _key_rules(space: FiniteVSpace, key) -> list:
         if p not in vic:
             out.append(Violation("owner-not-in-vicinity", p, f"vicinity {i} does not contain its owner"))
         stray = [q for q in vic if not _is_point(q, n)]
-        if stray:
-            stray = sorted(q for q in stray if type(q) is int) + sorted((q for q in stray if type(q) is not int), key=repr)
-            out.append(Violation("member-out-of-range", p, f"vicinity {i} members {stray} outside 0..{n - 1}"))
+        if stray:  # named ints ascending, then the others by repr
+            ints = sorted(q for q in stray if type(q) is int)
+            others = sorted((q for q in stray if type(q) is not int), key=repr)
+            out.append(Violation("member-out-of-range", p, f"vicinity {i} members {ints + others} outside 0..{n - 1}"))
     if mode == STRONG:
         for i, vic in enumerate(vics):
             for j in range(i):

@@ -422,6 +422,11 @@ ONE_RULE_BROKEN = {
         FiniteVSpace(1, {0: _system(0, {0}, {0})}),
         ["duplicate-vicinity (point 0): vicinities 0 and 1 are equal sets"],
     ),
+    # A weak system may repeat a vicinity; each repeat is reported at its index.
+    "weak-repeat": (
+        FiniteVSpace(2, {0: _system(0, {1}, {1}, mode=WEAK), 1: _system(1, {1}, mode=WEAK)}, WEAK),
+        [f"owner-not-in-vicinity (point 0): vicinity {i} does not contain its owner" for i in (0, 1)],
+    ),
     # An owner is the int equal to its key, as a point is an int.
     "float-owner": (
         FiniteVSpace(1, {0: _system(0.0, {0})}),
