@@ -6,7 +6,7 @@ removes overlaps.  So the 4-point spaces up to dominance are the products
 of per-point antichains, 19**4 = 130,321 spaces with 781,926 unordered
 pairs, and up to relabeling by S4 there are 5,890.  Each is decided here
 by ``brute`` and ``pruned`` and by a split oracle written below, which
-imports nothing from ``connectivity``.  Dominated options and repeated
+uses nothing from ``connectivity``.  Dominated options and repeated
 weak entries are not in the census; the random differentials cover them.
 """
 import itertools
