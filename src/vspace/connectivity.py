@@ -13,7 +13,9 @@ int bitmask (bit m set iff m is a member), to its first original index.
 Identical sets collapse (they induce identical overlap graphs);
 witnesses use the original indices.  Masks meet iff they share a bit;
 brute checks each cover by closing a's mask under the masks that meet
-it, as its covers are too small to repay building an index.
+it, as its covers are too small to repay building an index.  The same
+pass over the members builds ``pruned``'s watch lists when it asks for
+them; ``brute`` does not ask.
 
 * ``brute`` enumerates covers in lexicographic order of (point id,
   vicinity index) and returns the first witness found, so its witness is
@@ -33,16 +35,25 @@ it, as its covers are too small to repay building an index.
   a point fits only one side, the intersection of its fitting options
   (which contains the point) joins that side; if it fits neither, it is
   a conflict.  Every option contains its point, so a decided point fits
-  only its own side.  Only the points just decided and the points with
-  an option containing one of them are re-examined.  After the closure
-  it tries three completions: grow A' from A, each point of A' adding
-  its least option that avoids B, and accept A' against the rest if
-  every point outside A' has an option that avoids A'; then A against
-  the rest; then the rest against B.  Failing all three it branches on
-  the lowest undecided point, B first.  A split is a cut exactly when
-  its tolerant cover exists: each point takes its least original index
-  whose vicinity lies inside its side, and that cover is the witness.
-  The search is built from the space alone, once per call, and a query
+  only its own side.  Only the points just decided and their watchers,
+  the points with an option containing one of them, are re-examined.
+  After the closure it tries three completions: grow A' from A, each
+  point of A' adding its least option that avoids B, and accept A'
+  against the rest if every point outside A' has an option that avoids
+  A'; then A against the rest; then the rest against B.  Failing all
+  three it branches on the lowest undecided point, B first.  A split is
+  a cut exactly when its tolerant cover exists: each point takes its
+  least original index whose vicinity lies inside its side, and that
+  cover is the witness.
+
+  The closure leaves every point of A with an option that avoids B,
+  every point of B with one that avoids A, and every undecided point
+  with both (it was examined and fits both sides, or none of its
+  options meets a decided point).  So (A, rest) can fail only at a
+  point of A with no option inside A, and (rest, B) only at a point of
+  B: those points are tested on masks first, and the cover is built
+  only when they all pass.  The search, its masks and watch lists are
+  compiled in one pass over the space, once per call, and a query
   (endpoints, node budget) leaves it unchanged.  Its verdict is
   ``brute``'s; its witness is valid but may differ.
 """
@@ -169,16 +180,23 @@ def _chain(chosen: Sequence[Iterable[int]], a: int, b: int) -> list[int] | None:
     return None
 
 
-def _compile(space: FiniteVSpace) -> list[dict[int, int]]:
-    """Per point, {mask: first original index} of its vicinities, in order of first occurrence."""
+def _compile(space: FiniteVSpace, watchers: list[int] | None = None) -> list[dict[int, int]]:
+    """Per point, {mask: first original index} of its vicinities, in order
+    of first occurrence.  Given ``watchers`` (n zeros), also set bit x of
+    ``watchers[m]`` for each member m of each distinct vicinity of x."""
     out = []
+    systems = space.systems
     for p in space.points:
         first: dict[int, int] = {}
-        for i, vic in enumerate(space.systems[p].vicinities):
+        for i, vic in enumerate(systems[p].vicinities):
             mask = 0
             for m in vic:
                 mask |= 1 << m
-            first.setdefault(mask, i)
+            # setdefault returns i only for a new mask: a repeat keeps its earlier index.
+            if first.setdefault(mask, i) == i and watchers is not None:
+                bit = 1 << p
+                for m in vic:
+                    watchers[m] |= bit
         out.append(first)
     return out
 
@@ -217,20 +235,12 @@ class _PrunedSearch:
     since the last closure) of its stack, so it is one search node.
     """
 
-    def __init__(self, choices):
-        self.choices = choices
+    def __init__(self, space: FiniteVSpace):
         # watchers[m]: the points with an option that contains m, the only
         # points whose forcing rule can change when m is decided.
-        watchers = self.watchers = [0] * len(choices)
-        for x, options in enumerate(choices):
-            union = 0
-            for mask in options:
-                union |= mask
-            while union:  # each set bit, lowest first, as in every loop below
-                low = union & -union
-                union ^= low
-                watchers[low.bit_length() - 1] |= 1 << x
-        self.full = (1 << len(choices)) - 1
+        self.watchers = [0] * space.num_points
+        self.choices = _compile(space, self.watchers)
+        self.full = (1 << space.num_points) - 1
 
     def run(self, a: int, b: int, max_nodes: int) -> ConnectivityVerdict:
         stack = [(1 << a, 1 << b, 1 << a | 1 << b)]
@@ -259,9 +269,11 @@ class _PrunedSearch:
                         break
             frontier = added & ~grown
             grown |= frontier
-        for split in (grown, side_a, side_b):
-            if (witness := self._witness(split)) is not None:
-                return witness
+        if (witness := self._witness(grown)) is not None:
+            return witness
+        for side in (side_a, side_b):
+            if self._inside(side):
+                return self._witness(side)
         undecided = self.full & ~(side_a | side_b)
         p = undecided & -undecided
         stack.append((side_a | p, side_b, p))
@@ -281,6 +293,20 @@ class _PrunedSearch:
             else:
                 return None
         return witness
+
+    def _inside(self, side: int) -> bool:
+        """Whether each point of a closed side has an option inside it:
+        then, and only then, the split (side, the rest) is a cut."""
+        choices, outside = self.choices, ~side
+        while side:
+            low = side & -side
+            side ^= low
+            for m in choices[low.bit_length() - 1]:
+                if not m & outside:
+                    break
+            else:
+                return False
+        return True
 
     def _close(self, side_a: int, side_b: int, new: int) -> tuple[int, int] | None:
         """Close the sides under the forcing rule; None on a conflict."""
@@ -336,7 +362,6 @@ def _decide(space: FiniteVSpace, a: int, b: int, engine: str, max_covers: int) -
     """``is_connected`` once its arguments have passed its checks."""
     if a == b:
         return _CONNECTED
-    choices = _compile(space)
     if engine == "brute":
-        return _brute(choices, a, b, max_covers)
-    return _PrunedSearch(choices).run(a, b, max_covers)
+        return _brute(_compile(space), a, b, max_covers)
+    return _PrunedSearch(space).run(a, b, max_covers)

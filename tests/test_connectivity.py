@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import itertools
 import random
 import time
@@ -12,13 +13,17 @@ from vspace import (
     STRONG,
     WEAK,
     BudgetExceededError,
+    CodedSpaceConfig,
+    EnumerationOracle,
     FiniteVSpace,
     ValidationError,
     VicinitySystem,
+    build_coded_space,
     chain_exists,
     decode_from_cover,
     is_connected,
     make_space,
+    validate_config,
     validate_space,
     verify_witness,
 )
@@ -317,11 +322,23 @@ def coded_small():
         (coded_small, 1, {3: 2}),
         (lambda: dense_space(124576495, 40, 0.07), 143, None),
         (lambda: dense_space(1539898300, 40, 0.07), 2, {0: 2, 3: 1, 19: 1, 24: 1, 28: 1, 33: 1}),
+        (lambda: dense_space(1888932367, 16, 0.127), 7, {3: 1, 4: 1, 7: 1, 9: 1, 10: 2, 11: 2, 12: 2}),
+        (lambda: dense_space(1144457210, 16, 0.144), 5, {4: 2, 5: 1, 8: 1, 10: 1, 15: 1}),
     ],
-    ids=["dense-notconnected", "dense-connected", "coded_small", "dense40-connected", "dense40-notconnected"],
+    ids=[
+        "dense-notconnected",
+        "dense-connected",
+        "coded_small",
+        "dense40-connected",
+        "dense40-notconnected",
+        "dense-side-a",
+        "dense-side-b",
+    ],
 )
 def test_pruned_engine_witness_and_node_count_are_pinned(instance, nodes, witness):
     # Non-zero witness indices are listed; every other point takes index 0.
+    # The side-a and side-b witnesses come from the (A, rest) and the
+    # (rest, B) completion: the grown side fails at their last node.
     space, a, b = instance()
     verdict = is_connected(space, a, b, engine="pruned", max_covers=nodes)
     expected = None if witness is None else {p: witness.get(p, 0) for p in space.points}
@@ -356,6 +373,26 @@ def test_pruned_engine_node_count_on_a_forty_point_family_is_pinned(monkeypatch)
         verdicts += str(int(verdict.connected))
     assert verdicts == "00100111110010010010"
     assert len(nodes) == 1316
+
+
+def test_pruned_engine_on_a_dense_family_of_16_and_20_points_is_pinned(monkeypatch):
+    # The shape of the pruned-random benchmark: alternating 16 and 20
+    # points, member probability 0.09-0.2, both verdicts.  The node total
+    # and the digest of the witnesses pin the search order and its covers.
+    nodes = []
+    search = _PrunedSearch.search
+    monkeypatch.setattr(_PrunedSearch, "search", lambda self, stack: nodes.append(1) or search(self, stack))
+    rng = random.Random(27)
+    digest = hashlib.sha256()
+    connected = 0
+    for i in range(400):
+        space, a, b = dense_space(rng.randrange(2**31), (16, 20)[i % 2], round(rng.uniform(0.09, 0.2), 3))
+        verdict = is_connected(space, a, b, engine="pruned")
+        connected += verdict.connected
+        digest.update(repr(verdict.witness).encode() + b"\n")
+    assert connected == 154
+    assert len(nodes) == 1296
+    assert digest.hexdigest() == "3f68a38019f20b969526b6a31ae918098bfc6ca82f92d810a360102dcd7cf035"
 
 
 def test_pruned_engine_decides_a_long_chain_without_recursion():
@@ -511,19 +548,50 @@ def test_compiled_search_answers_several_queries_unchanged():
         rng = random.Random(90_000 + seed)
         space = random_space(rng, max_points=9, max_vics=3)
         a, b = rng.sample(range(space.num_points), 2)
-        choices = _compile(space)
-        search = _PrunedSearch(choices)
+        search = _PrunedSearch(space)
         state = copy.deepcopy(vars(search))
         assert set(state) == {"choices", "watchers", "full"}
         for x, y in [(a, b), (b, a), (a, b)]:
-            expected = _PrunedSearch(_compile(space)).run(x, y, DEFAULT_MAX_COVERS)
+            expected = _PrunedSearch(space).run(x, y, DEFAULT_MAX_COVERS)
             assert search.run(x, y, DEFAULT_MAX_COVERS) == expected, seed
             assert expected == is_connected(space, x, y, engine="pruned"), seed
         with pytest.raises(BudgetExceededError, match="node budget of 0"):
             search.run(a, b, 0)
         assert search.run(a, b, DEFAULT_MAX_COVERS) == expected, seed
         assert vars(search) == state, seed
-        assert search.choices is choices
+        assert search.choices == _compile(space)
+
+
+def coded_spaces(count):
+    """Spaces of seeded valid coding configs: nested chains of vicinities."""
+    rng = random.Random(27_100)
+    while count:
+        t = rng.randint(1, 5)
+        a = rng.randint(0, 6)
+        config = CodedSpaceConfig(a, a + rng.randint(1, 8), rng.randint(10, 120), t)
+        oracle = EnumerationOracle({x: rng.randint(0, t) for x in rng.sample(range(10), rng.randint(0, 3))}, t)
+        if not validate_config(oracle, config):
+            count -= 1
+            yield build_coded_space(oracle, config).space
+
+
+def test_watch_lists_hold_the_points_with_an_option_containing_each_member():
+    # Bit x of watchers[m] is set iff m lies in some option of x; repeated
+    # vicinities, collapsed by the compile, must not change that.
+    spaces = [random_space(random.Random(27_000 + seed), max_points=9, max_vics=4) for seed in range(300)]
+    spaces += coded_spaces(30)
+    repeated = nested = 0
+    for space in spaces:
+        reference = [0] * space.num_points
+        for x in space.points:
+            vicinities = space.systems[x].vicinities
+            repeated += len(set(vicinities)) < len(vicinities)
+            nested += len(vicinities) > 2 and all(v > w for v, w in zip(vicinities, vicinities[1:]))
+            for vic in vicinities:
+                for m in vic:
+                    reference[m] |= 1 << x
+        assert _PrunedSearch(space).watchers == reference
+    assert repeated > 20 and nested > 100
 
 
 def test_compile_keeps_the_first_index_of_each_distinct_vicinity():
