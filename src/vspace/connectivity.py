@@ -7,15 +7,17 @@ the points are not connected.
 
 Under one given cover, ``_chain`` indexes each member to the points
 whose chosen set holds it, so ``chain_exists`` and ``verify_witness``
-take time linear in the size of the cover.  Both engines read one
-compiled form: per point, a dict from each distinct vicinity set, as an
-int bitmask (bit m set iff m is a member), to its first original index.
-Identical sets collapse (they induce identical overlap graphs);
-witnesses use the original indices.  Masks meet iff they share a bit;
-brute checks each cover by closing a's mask under the masks that meet
-it, as its covers are too small to repay building an index.  The same
-pass over the members builds ``pruned``'s watch lists when it asks for
-them; ``brute`` does not ask.
+take time linear in the size of the cover.  Both engines read each
+vicinity as an int bitmask (bit m set iff m is a member); masks meet iff
+they share a bit.  Identical sets collapse (they induce identical
+overlap graphs); witnesses use the original indices.  ``brute`` reads,
+per point, a dict from each distinct mask to its first original index,
+and checks each cover by closing a's mask under the masks that meet it,
+as its covers are too small to repay building an index.  ``pruned``
+builds, in one pass over the members, per point a list of masks in
+vicinity order (a position is an original index) and its watch lists.
+Only a weak space can repeat a set, so only there are a point's sets
+tested for repeats: each distinct one is kept once, at its least index.
 
 * ``brute`` enumerates covers in lexicographic order of (point id,
   vicinity index) and returns the first witness found, so its witness is
@@ -180,10 +182,9 @@ def _chain(chosen: Sequence[Iterable[int]], a: int, b: int) -> list[int] | None:
     return None
 
 
-def _compile(space: FiniteVSpace, watchers: list[int] | None = None) -> list[dict[int, int]]:
+def _compile(space: FiniteVSpace) -> list[dict[int, int]]:
     """Per point, {mask: first original index} of its vicinities, in order
-    of first occurrence.  Given ``watchers`` (n zeros), also set bit x of
-    ``watchers[m]`` for each member m of each distinct vicinity of x."""
+    of first occurrence."""
     out = []
     systems = space.systems
     for p in space.points:
@@ -192,11 +193,7 @@ def _compile(space: FiniteVSpace, watchers: list[int] | None = None) -> list[dic
             mask = 0
             for m in vic:
                 mask |= 1 << m
-            # setdefault returns i only for a new mask: a repeat keeps its earlier index.
-            if first.setdefault(mask, i) == i and watchers is not None:
-                bit = 1 << p
-                for m in vic:
-                    watchers[m] |= bit
+            first.setdefault(mask, i)
         out.append(first)
     return out
 
@@ -236,11 +233,33 @@ class _PrunedSearch:
     """
 
     def __init__(self, space: FiniteVSpace):
-        # watchers[m]: the points with an option that contains m, the only
-        # points whose forcing rule can change when m is decided.
-        self.watchers = [0] * space.num_points
-        self.choices = _compile(space, self.watchers)
+        # choices[x]: x's option masks in vicinity order, so a position is
+        # an original index, except at the points in ``indices`` (a weak
+        # repeat dropped, its least index kept).  watchers[m]: the points
+        # with an option that contains m, the only points whose forcing
+        # rule can change when m is decided.
+        self.choices: list[list[int]] = []
+        self.indices: dict[int, list[int]] = {}
+        self.watchers = watchers = [0] * space.num_points
         self.full = (1 << space.num_points) - 1
+        choices, systems, weak = self.choices, space.systems, space.mode == WEAK
+        for x in space.points:
+            bit, masks, vics = 1 << x, [], systems[x].vicinities
+            for vic in vics:
+                mask = 0
+                for m in vic:
+                    mask |= 1 << m
+                    watchers[m] |= bit
+                masks.append(mask)
+            # Validation rejects a repeated set in a strong system.  Test the
+            # sets, which cache their hashes: a mask hashes in time as its width.
+            if weak and len(set(vics)) < len(vics):
+                first: dict[frozenset[int], int] = {}
+                for i, vic in enumerate(vics):
+                    first.setdefault(vic, i)
+                self.indices[x] = kept = list(first.values())
+                masks = [masks[i] for i in kept]
+            choices.append(masks)
 
     def run(self, a: int, b: int, max_nodes: int) -> ConnectivityVerdict:
         stack = [(1 << a, 1 << b, 1 << a | 1 << b)]
@@ -286,12 +305,14 @@ class _PrunedSearch:
         witness = {}
         for x, options in enumerate(self.choices):
             avoid = ~split if split >> x & 1 else split
-            for m, i in options.items():
+            for i, m in enumerate(options):
                 if not m & avoid:
                     witness[x] = i
                     break
             else:
                 return None
+        for x, indices in self.indices.items():
+            witness[x] = indices[witness[x]]
         return witness
 
     def _inside(self, side: int) -> bool:

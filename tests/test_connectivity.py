@@ -541,16 +541,35 @@ def test_budget_must_be_an_int(engine, budget):
         is_connected(s1(), 0, 2, engine=engine, max_covers=budget)
 
 
+def pruned_options(space):
+    """Each point's option masks in vicinity order, a weak repeat dropped
+    and its least index kept, and {point: the kept indices} for the
+    points that dropped one."""
+    choices, indices = [], {}
+    for p in space.points:
+        masks, kept = [], []
+        for i, vic in enumerate(space.systems[p].vicinities):
+            mask = sum(1 << m for m in vic)
+            if mask not in masks:
+                masks.append(mask)
+                kept.append(i)
+        choices.append(masks)
+        if len(kept) < len(space.systems[p].vicinities):
+            indices[p] = kept
+    return choices, indices
+
+
 def test_compiled_search_answers_several_queries_unchanged():
     # One object, queried (a, b), (b, a), (a, b), a zero budget, then
     # (a, b) again, answers as a fresh object does and keeps its state.
+    repeated = 0
     for seed in range(200):
         rng = random.Random(90_000 + seed)
         space = random_space(rng, max_points=9, max_vics=3)
         a, b = rng.sample(range(space.num_points), 2)
         search = _PrunedSearch(space)
         state = copy.deepcopy(vars(search))
-        assert set(state) == {"choices", "watchers", "full"}
+        assert set(state) == {"choices", "indices", "watchers", "full"}
         for x, y in [(a, b), (b, a), (a, b)]:
             expected = _PrunedSearch(space).run(x, y, DEFAULT_MAX_COVERS)
             assert search.run(x, y, DEFAULT_MAX_COVERS) == expected, seed
@@ -559,7 +578,49 @@ def test_compiled_search_answers_several_queries_unchanged():
             search.run(a, b, 0)
         assert search.run(a, b, DEFAULT_MAX_COVERS) == expected, seed
         assert vars(search) == state, seed
-        assert search.choices == _compile(space)
+        assert (search.choices, search.indices) == pruned_options(space), seed
+        repeated += bool(search.indices)
+    assert repeated > 10
+
+
+def test_a_pruned_witness_names_the_least_index_of_a_repeated_set():
+    # Point 1's options are {0, 1} and {1}; the witness takes {1}, first
+    # listed at index 2, not at the position 1 it has once repeats drop.
+    space = make_space({0: [{0}], 1: [{0, 1}, {0, 1}, {1}, {0, 1}, {1}], 2: [{2}]}, mode=WEAK)
+    assert pruned_options(space) == ([[1], [3, 2], [4]], {1: [0, 2]})
+    for a, b in [(0, 1), (1, 0)]:
+        for engine in ("brute", "pruned"):
+            verdict = is_connected(space, a, b, engine=engine)
+            assert verdict.witness == {0: 0, 1: 2, 2: 0}, (a, b, engine)
+            assert verify_witness(space, verdict.witness, a, b)
+
+
+def test_a_weak_set_repeated_100000_times_is_one_pruned_option():
+    space = make_space({0: [{0}], 1: [{0, 1}] * 100_000, 2: [{2}, {1, 2}]}, mode=WEAK)
+    search = _PrunedSearch(space)
+    assert search.choices == [[1], [3], [4, 6]]
+    assert search.indices == {1: [0]}
+    assert is_connected(space, 0, 1, engine="pruned", max_covers=1).connected
+    verdict = is_connected(space, 0, 2, engine="pruned", max_covers=1)
+    assert verdict.witness == {0: 0, 1: 0, 2: 0}
+
+
+def test_pruned_verdicts_and_witnesses_on_3000_random_spaces_are_pinned():
+    # Every ordered pair of each space, a == b included; the digest pins
+    # the verdicts and every witness index, weak repeats included.
+    rng = random.Random(28_000)
+    digest = hashlib.sha256()
+    pairs = connected = repeated = 0
+    for _ in range(3_000):
+        space = random_space(rng, max_vics=4)
+        repeated += any(len(set(s.vicinities)) < len(s.vicinities) for s in space.systems.values())
+        for a, b in itertools.product(space.points, repeat=2):
+            verdict = is_connected(space, a, b, engine="pruned")
+            pairs += 1
+            connected += verdict.connected
+            digest.update(repr(verdict.witness).encode() + b"\n")
+    assert (pairs, connected, repeated) == (55_089, 40_779, 523)
+    assert digest.hexdigest() == "b09103996ab05ba445de8b7900f3ef1affc4e87df3ef0436ca54859fc093a6ef"
 
 
 def coded_spaces(count):
