@@ -9,15 +9,18 @@ Under one given cover, ``_chain`` indexes each member to the points
 whose chosen set holds it, so ``chain_exists`` and ``verify_witness``
 take time linear in the size of the cover.  Both engines read each
 vicinity as an int bitmask (bit m set iff m is a member); masks meet iff
-they share a bit.  Identical sets collapse (they induce identical
-overlap graphs); witnesses use the original indices.  ``brute`` reads,
-per point, a dict from each distinct mask to its first original index,
-and checks each cover by closing a's mask under the masks that meet it,
-as its covers are too small to repay building an index.  ``pruned``
-builds, in one pass over the members, per point a list of masks in
-vicinity order (a position is an original index) and its watch lists.
-Only a weak space can repeat a set, so only there are a point's sets
-tested for repeats: each distinct one is kept once, at its least index.
+they share a bit; witnesses use the original indices.  ``brute`` reads,
+per point, a dict from each distinct mask to its first original index:
+identical sets induce identical overlap graphs, and its budget counts
+distinct covers.  It checks each cover by closing a's mask under the
+masks that meet it, as its covers are too small to repay building an
+index.  ``pruned`` builds, in one pass over the members, per point the
+mask of every listed vicinity in order (a position is an original
+index) and its watch lists.  A repeated set, which only a weak space
+can list, changes nothing there: the forcing rule intersects fitting
+options, the completions ask whether some option fits or take the first
+that does, and a witness takes the least index; a later copy changes
+none of them.
 
 * ``brute`` enumerates covers in lexicographic order of (point id,
   vicinity index) and returns the first witness found, so its witness is
@@ -233,32 +236,22 @@ class _PrunedSearch:
     """
 
     def __init__(self, space: FiniteVSpace):
-        # choices[x]: x's option masks in vicinity order, so a position is
-        # an original index, except at the points in ``indices`` (a weak
-        # repeat dropped, its least index kept).  watchers[m]: the points
-        # with an option that contains m, the only points whose forcing
-        # rule can change when m is decided.
+        # choices[x]: the mask of each of x's vicinities, in vicinity order,
+        # so a position is an original index.  watchers[m]: the points with
+        # an option that contains m, the only points whose forcing rule can
+        # change when m is decided.
         self.choices: list[list[int]] = []
-        self.indices: dict[int, list[int]] = {}
         self.watchers = watchers = [0] * space.num_points
         self.full = (1 << space.num_points) - 1
-        choices, systems, weak = self.choices, space.systems, space.mode == WEAK
+        choices, systems = self.choices, space.systems
         for x in space.points:
-            bit, masks, vics = 1 << x, [], systems[x].vicinities
-            for vic in vics:
+            bit, masks = 1 << x, []
+            for vic in systems[x].vicinities:
                 mask = 0
                 for m in vic:
                     mask |= 1 << m
                     watchers[m] |= bit
                 masks.append(mask)
-            # Validation rejects a repeated set in a strong system.  Test the
-            # sets, which cache their hashes: a mask hashes in time as its width.
-            if weak and len(set(vics)) < len(vics):
-                first: dict[frozenset[int], int] = {}
-                for i, vic in enumerate(vics):
-                    first.setdefault(vic, i)
-                self.indices[x] = kept = list(first.values())
-                masks = [masks[i] for i in kept]
             choices.append(masks)
 
     def run(self, a: int, b: int, max_nodes: int) -> ConnectivityVerdict:
@@ -311,8 +304,6 @@ class _PrunedSearch:
                     break
             else:
                 return None
-        for x, indices in self.indices.items():
-            witness[x] = indices[witness[x]]
         return witness
 
     def _inside(self, side: int) -> bool:

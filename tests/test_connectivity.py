@@ -112,10 +112,15 @@ def _read_as(space, mode):
 
 
 @pytest.mark.parametrize("mode", [STRONG, WEAK])
-def test_a_space_read_in_the_other_mode_compiles_alike_and_keeps_its_verdicts(mode):
+def test_a_space_read_in_the_other_mode_compiles_alike_and_keeps_its_verdicts(mode, monkeypatch):
     # A strong space read as weak must validate clean and give the same
     # compiled form and verdicts.  A weak one deduped into strong must too,
     # up to indices: the dedupe renumbers the sets after a repeated one.
+    # Pruned takes as many nodes on either reading, and its weak witness
+    # names the least listed index of each set its strong witness names.
+    nodes = []
+    search = _PrunedSearch.search
+    monkeypatch.setattr(_PrunedSearch, "search", lambda self, stack: nodes.append(1) or search(self, stack))
     rng = random.Random(52_000 if mode == STRONG else 53_000)
     checked = duplicated = 0
     while checked < 150:
@@ -132,12 +137,20 @@ def test_a_space_read_in_the_other_mode_compiles_alike_and_keeps_its_verdicts(mo
             assert [list(masks) for masks in _compile(other)] == [list(masks) for masks in _compile(space)]
         for a, b in itertools.product(space.points, repeat=2):
             for engine in ("brute", "pruned"):
+                nodes.clear()
                 verdict = is_connected(other, a, b, engine=engine)
+                other_nodes = len(nodes)
+                nodes.clear()
+                own = is_connected(space, a, b, engine=engine)
+                assert len(nodes) == other_nodes
                 if mode == STRONG:
-                    assert verdict == is_connected(space, a, b, engine=engine)
+                    assert verdict == own
                 else:
-                    assert verdict.connected == is_connected(space, a, b, engine=engine).connected
+                    assert verdict.connected == own.connected
                     assert verdict.connected or verify_witness(other, verdict.witness, a, b)
+                    if engine == "pruned" and not own.connected:
+                        named = {p: other.systems[p].vicinities[i] for p, i in verdict.witness.items()}
+                        assert own.witness == {p: space.systems[p].vicinities.index(v) for p, v in named.items()}
     assert mode == STRONG or duplicated > 30
 
 
@@ -542,21 +555,8 @@ def test_budget_must_be_an_int(engine, budget):
 
 
 def pruned_options(space):
-    """Each point's option masks in vicinity order, a weak repeat dropped
-    and its least index kept, and {point: the kept indices} for the
-    points that dropped one."""
-    choices, indices = [], {}
-    for p in space.points:
-        masks, kept = [], []
-        for i, vic in enumerate(space.systems[p].vicinities):
-            mask = sum(1 << m for m in vic)
-            if mask not in masks:
-                masks.append(mask)
-                kept.append(i)
-        choices.append(masks)
-        if len(kept) < len(space.systems[p].vicinities):
-            indices[p] = kept
-    return choices, indices
+    """Each point's option masks, one per listed vicinity in order."""
+    return [[sum(1 << m for m in vic) for vic in space.systems[p].vicinities] for p in space.points]
 
 
 def test_compiled_search_answers_several_queries_unchanged():
@@ -569,7 +569,7 @@ def test_compiled_search_answers_several_queries_unchanged():
         a, b = rng.sample(range(space.num_points), 2)
         search = _PrunedSearch(space)
         state = copy.deepcopy(vars(search))
-        assert set(state) == {"choices", "indices", "watchers", "full"}
+        assert set(state) == {"choices", "watchers", "full"}
         for x, y in [(a, b), (b, a), (a, b)]:
             expected = _PrunedSearch(space).run(x, y, DEFAULT_MAX_COVERS)
             assert search.run(x, y, DEFAULT_MAX_COVERS) == expected, seed
@@ -578,16 +578,16 @@ def test_compiled_search_answers_several_queries_unchanged():
             search.run(a, b, 0)
         assert search.run(a, b, DEFAULT_MAX_COVERS) == expected, seed
         assert vars(search) == state, seed
-        assert (search.choices, search.indices) == pruned_options(space), seed
-        repeated += bool(search.indices)
+        assert search.choices == pruned_options(space), seed
+        repeated += any(len(set(masks)) < len(masks) for masks in search.choices)
     assert repeated > 10
 
 
 def test_a_pruned_witness_names_the_least_index_of_a_repeated_set():
-    # Point 1's options are {0, 1} and {1}; the witness takes {1}, first
-    # listed at index 2, not at the position 1 it has once repeats drop.
+    # Point 1's options are {0, 1} and {1}, each listed more than once; the
+    # witness takes {1} at index 2, its first listing, not at index 4.
     space = make_space({0: [{0}], 1: [{0, 1}, {0, 1}, {1}, {0, 1}, {1}], 2: [{2}]}, mode=WEAK)
-    assert pruned_options(space) == ([[1], [3, 2], [4]], {1: [0, 2]})
+    assert pruned_options(space) == [[1], [3, 3, 2, 3, 2], [4]]
     for a, b in [(0, 1), (1, 0)]:
         for engine in ("brute", "pruned"):
             verdict = is_connected(space, a, b, engine=engine)
@@ -595,11 +595,10 @@ def test_a_pruned_witness_names_the_least_index_of_a_repeated_set():
             assert verify_witness(space, verdict.witness, a, b)
 
 
-def test_a_weak_set_repeated_100000_times_is_one_pruned_option():
+def test_a_weak_set_repeated_100000_times_is_100000_equal_pruned_options():
     space = make_space({0: [{0}], 1: [{0, 1}] * 100_000, 2: [{2}, {1, 2}]}, mode=WEAK)
     search = _PrunedSearch(space)
-    assert search.choices == [[1], [3], [4, 6]]
-    assert search.indices == {1: [0]}
+    assert search.choices == [[1], [3] * 100_000, [4, 6]]
     assert is_connected(space, 0, 1, engine="pruned", max_covers=1).connected
     verdict = is_connected(space, 0, 2, engine="pruned", max_covers=1)
     assert verdict.witness == {0: 0, 1: 0, 2: 0}
