@@ -10,11 +10,13 @@ whose chosen set holds it, so ``chain_exists`` and ``verify_witness``
 take time linear in the size of the cover.  Both engines read each
 vicinity as an int bitmask (bit m set iff m is a member); masks meet iff
 they share a bit; witnesses use the original indices.  ``brute`` reads,
-per point, a dict from each distinct mask to its first original index:
-identical sets induce identical overlap graphs, and its budget counts
-distinct covers.  It checks each cover by closing a's mask under the
-masks that meet it, as its covers are too small to repay building an
-index.  ``pruned`` builds, in one pass over the members, per point the
+counts and searches in one routine.  Per point it reads a dict from each
+distinct mask to its first original index (identical sets induce
+identical overlap graphs) and multiplies its count of distinct covers by
+the dict's size, so it compiles no point past the one that takes the
+count over the budget.  It checks each cover by closing a's mask under
+the masks that meet it, as its covers are too small to repay building
+an index.  ``pruned`` builds, in one pass over the members, per point the
 mask of every listed vicinity in order (a position is an original
 index) and its watch lists.  A repeated set, which only a weak space
 can list, changes nothing there: the forcing rule intersects fitting
@@ -185,22 +187,6 @@ def _chain(chosen: Sequence[Iterable[int]], a: int, b: int) -> list[int] | None:
     return None
 
 
-def _compile(space: FiniteVSpace) -> list[dict[int, int]]:
-    """Per point, {mask: first original index} of its vicinities, in order
-    of first occurrence."""
-    out = []
-    systems = space.systems
-    for p in space.points:
-        first: dict[int, int] = {}
-        for i, vic in enumerate(systems[p].vicinities):
-            mask = 0
-            for m in vic:
-                mask |= 1 << m
-            first.setdefault(mask, i)
-        out.append(first)
-    return out
-
-
 def _sets_reachable(masks: Sequence[int], a: int, b: int) -> bool:
     """Whether b's mask meets the closure of a's (a != b): each pass ORs
     in every mask that meets it, until b's mask does or a pass adds nothing.
@@ -216,12 +202,22 @@ def _sets_reachable(masks: Sequence[int], a: int, b: int) -> bool:
     return True
 
 
-def _brute(choices: list[dict[int, int]], a: int, b: int, max_covers: int) -> ConnectivityVerdict:
-    total = 1
-    for options in choices:
-        total *= len(options)  # never shrinks, so stop once past the budget
+def _brute(space: FiniteVSpace, a: int, b: int, max_covers: int) -> ConnectivityVerdict:
+    """Compile point by point, stopping at the point that takes the count
+    of distinct covers past the budget; then walk the covers in order."""
+    choices: list[dict[int, int]] = []
+    systems, total = space.systems, 1
+    for p in space.points:
+        first: dict[int, int] = {}
+        for i, vic in enumerate(systems[p].vicinities):
+            mask = 0
+            for m in vic:
+                mask |= 1 << m
+            first.setdefault(mask, i)
+        total *= len(first)  # never shrinks, so stop once past the budget
         if total > max_covers:
             raise BudgetExceededError(f"the covers exceed the budget of {max_covers}")
+        choices.append(first)
     for combo in itertools.product(*choices):
         if not _sets_reachable(combo, a, b):
             return ConnectivityVerdict(False, {p: choices[p][mask] for p, mask in enumerate(combo)})
@@ -242,7 +238,6 @@ class _PrunedSearch:
         # change when m is decided.
         self.choices: list[list[int]] = []
         self.watchers = watchers = [0] * space.num_points
-        self.full = (1 << space.num_points) - 1
         choices, systems = self.choices, space.systems
         for x in space.points:
             bit, masks = 1 << x, []
@@ -286,8 +281,8 @@ class _PrunedSearch:
         for side in (side_a, side_b):
             if self._inside(side):
                 return self._witness(side)
-        undecided = self.full & ~(side_a | side_b)
-        p = undecided & -undecided
+        decided = side_a | side_b
+        p = ~decided & (decided + 1)  # the lowest undecided point: one exists, or (A, B) was a cut
         stack.append((side_a | p, side_b, p))
         stack.append((side_a, side_b | p, p))
         return None
@@ -375,5 +370,5 @@ def _decide(space: FiniteVSpace, a: int, b: int, engine: str, max_covers: int) -
     if a == b:
         return _CONNECTED
     if engine == "brute":
-        return _brute(_compile(space), a, b, max_covers)
+        return _brute(space, a, b, max_covers)
     return _PrunedSearch(space).run(a, b, max_covers)

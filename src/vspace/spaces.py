@@ -216,6 +216,8 @@ def require_points(space: FiniteVSpace, points: Iterable[int], what: str) -> Non
 
 
 def require_total_labeling(pi: Labeling, points: Sequence[int]) -> None:
+    if type(pi) is not dict and not isinstance(pi, Mapping):  # a dict skips the slow ABC check
+        raise ValidationError(f"labeling must be a mapping from points to labels, got a {type(pi).__name__}")
     for p in points:
         if p not in pi:
             raise ValidationError(f"labeling undefined on points {sorted([p for p in points if p not in pi])}")

@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import random
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -27,7 +28,7 @@ from vspace import (
     validate_space,
     verify_witness,
 )
-from vspace.connectivity import DEFAULT_MAX_COVERS, _chain, _compile, _PrunedSearch, _sets_reachable, resolve_choice
+from vspace.connectivity import DEFAULT_MAX_COVERS, _chain, _PrunedSearch, _sets_reachable, resolve_choice
 from vspace.files import parse_space
 
 from _helpers import _path, _reaches, brute_force_connected, cover_count, first_witness, random_space
@@ -89,6 +90,15 @@ def _with_singletons(owner, vicinities, mode):
     return FiniteVSpace(3, systems, mode)
 
 
+def brute_at_its_budget(space, a, b):
+    """brute's verdict (a != b) at a budget of the space's distinct covers,
+    once a budget one less has been checked to raise."""
+    count = cover_count(space)
+    with pytest.raises(BudgetExceededError, match=f"^the covers exceed the budget of {count - 1}$"):
+        is_connected(space, a, b, max_covers=count - 1)
+    return is_connected(space, a, b, max_covers=count)
+
+
 @pytest.mark.parametrize("case", sorted(WEAK_DEDUPES))
 def test_a_weak_system_compiles_as_its_first_occurrence_dedupe(case):
     owner, vicinities, deduped = WEAK_DEDUPES[case]
@@ -96,9 +106,10 @@ def test_a_weak_system_compiles_as_its_first_occurrence_dedupe(case):
     strong = _with_singletons(owner, tuple(dict.fromkeys(map(frozenset, weak.systems[owner].vicinities))), STRONG)
     assert strong.systems[owner].vicinities == tuple(map(frozenset, deduped))
     assert validate_space(weak) == validate_space(strong) == []
-    assert _compile(weak) == _compile(strong)
     for a, b in itertools.product(range(3), repeat=2):
         assert is_connected(weak, a, b) == is_connected(strong, a, b)
+        if a != b:
+            assert brute_at_its_budget(weak, a, b) == brute_at_its_budget(strong, a, b)
 
 
 def _read_as(space, mode):
@@ -114,10 +125,10 @@ def _read_as(space, mode):
 @pytest.mark.parametrize("mode", [STRONG, WEAK])
 def test_a_space_read_in_the_other_mode_compiles_alike_and_keeps_its_verdicts(mode, monkeypatch):
     # A strong space read as weak must validate clean and give the same
-    # compiled form and verdicts.  A weak one deduped into strong must too,
+    # brute budget and verdicts.  A weak one deduped into strong must too,
     # up to indices: the dedupe renumbers the sets after a repeated one.
-    # Pruned takes as many nodes on either reading, and its weak witness
-    # names the least listed index of each set its strong witness names.
+    # Pruned takes as many nodes on either reading, and each engine's weak
+    # witness names the least listed index of each set its strong one names.
     nodes = []
     search = _PrunedSearch.search
     monkeypatch.setattr(_PrunedSearch, "search", lambda self, stack: nodes.append(1) or search(self, stack))
@@ -131,10 +142,6 @@ def test_a_space_read_in_the_other_mode_compiles_alike_and_keeps_its_verdicts(mo
         duplicated += any(len(set(s.vicinities)) < len(s.vicinities) for s in space.systems.values())
         other = _read_as(space, WEAK if mode == STRONG else STRONG)
         assert validate_space(other) == []
-        if mode == STRONG:
-            assert _compile(other) == _compile(space)
-        else:
-            assert [list(masks) for masks in _compile(other)] == [list(masks) for masks in _compile(space)]
         for a, b in itertools.product(space.points, repeat=2):
             for engine in ("brute", "pruned"):
                 nodes.clear()
@@ -143,12 +150,14 @@ def test_a_space_read_in_the_other_mode_compiles_alike_and_keeps_its_verdicts(mo
                 nodes.clear()
                 own = is_connected(space, a, b, engine=engine)
                 assert len(nodes) == other_nodes
+                if engine == "brute" and a != b:
+                    assert (brute_at_its_budget(other, a, b), brute_at_its_budget(space, a, b)) == (verdict, own)
                 if mode == STRONG:
                     assert verdict == own
                 else:
                     assert verdict.connected == own.connected
                     assert verdict.connected or verify_witness(other, verdict.witness, a, b)
-                    if engine == "pruned" and not own.connected:
+                    if not own.connected:
                         named = {p: other.systems[p].vicinities[i] for p, i in verdict.witness.items()}
                         assert own.witness == {p: space.systems[p].vicinities.index(v) for p, v in named.items()}
     assert mode == STRONG or duplicated > 30
@@ -569,7 +578,7 @@ def test_compiled_search_answers_several_queries_unchanged():
         a, b = rng.sample(range(space.num_points), 2)
         search = _PrunedSearch(space)
         state = copy.deepcopy(vars(search))
-        assert set(state) == {"choices", "watchers", "full"}
+        assert set(state) == {"choices", "watchers"}
         for x, y in [(a, b), (b, a), (a, b)]:
             expected = _PrunedSearch(space).run(x, y, DEFAULT_MAX_COVERS)
             assert search.run(x, y, DEFAULT_MAX_COVERS) == expected, seed
@@ -654,20 +663,27 @@ def test_watch_lists_hold_the_points_with_an_option_containing_each_member():
     assert repeated > 20 and nested > 100
 
 
-def test_compile_keeps_the_first_index_of_each_distinct_vicinity():
-    assert _compile(make_space({0: [{0}, {0, 1}, {0}], 1: [{1}, {1}]}, mode=WEAK)) == [{1: 0, 3: 1}, {2: 0}]
-    repeated = 0
+def test_brute_names_the_first_index_of_each_distinct_vicinity():
+    # Point 0 lists {0} again at index 2 and point 1 lists {1} twice: brute
+    # counts 2 covers and names each set at its first listing.  The seeded
+    # spaces check brute against the independent first-witness oracle, on
+    # every ordered pair of each space whose covers the oracle can walk.
+    space = make_space({0: [{0}, {0, 1}, {0}], 1: [{1}, {1}]}, mode=WEAK)
+    for a, b in [(0, 1), (1, 0)]:
+        assert brute_at_its_budget(space, a, b).witness == first_witness(space, a, b) == {0: 0, 1: 0}
+    repeated = walked = 0
     for seed in range(300):
         space = random_space(random.Random(95_000 + seed), max_points=9, max_vics=4)
-        reference = []
-        for p in space.points:
-            first = {}
-            for i, vic in enumerate(space.systems[p].vicinities):
-                first.setdefault(sum(1 << m for m in vic), i)
-            repeated += len(space.systems[p].vicinities) - len(first)
-            reference.append(first)
-        assert [list(d.items()) for d in _compile(space)] == [list(d.items()) for d in reference], seed
-    assert repeated > 0
+        count = cover_count(space)
+        if count > 256:  # the budget boundary only
+            with pytest.raises(BudgetExceededError, match=f"budget of {count - 1}$"):
+                is_connected(space, 0, 1, max_covers=count - 1)
+            continue
+        repeated += sum(len(s.vicinities) - len(set(s.vicinities)) for s in space.systems.values())
+        for a, b in itertools.permutations(space.points, 2):
+            walked += 1
+            assert brute_at_its_budget(space, a, b).witness == first_witness(space, a, b), (seed, a, b)
+    assert repeated > 0 and walked > 4_000
 
 
 def random_chosen_sets(rng):
@@ -735,6 +751,21 @@ def test_mask_closure_matches_the_reference_search():
 def chain_space(n):
     """Point p has options {p, p+1} and {p}; the last point only {p}."""
     return make_space({p: [{p, p + 1}, {p}] if p + 1 < n else [{p}] for p in range(n)})
+
+
+def test_a_brute_budget_error_reads_no_point_past_the_budget():
+    # 2**25 covers pass the default budget at point 24; compiling all
+    # 40,000 points first peaked at about 214 MB, reading 25 at 8 KB.
+    space = chain_space(40_000)
+    assert space.violations == ()  # validated, and the result kept, before the measure
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceededError, match=f"the covers exceed the budget of {DEFAULT_MAX_COVERS}$"):
+            is_connected(space, 0, 39_999)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_a_10000_point_witness_checks_in_linear_time():

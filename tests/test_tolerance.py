@@ -151,6 +151,11 @@ def test_check_nonconn_on_20000_alternating_labels_is_fast():
     assert outcome.status == HOLDS and outcome.witness == {p: 0 for p in range(n)}
 
 
+def test_check_nonconn_rejects_a_labeling_that_is_not_a_mapping():
+    with pytest.raises(ValidationError, match="^labeling must be a mapping from points to labels, got a tuple$"):
+        check_nonconn(range(3), ("A", "A", "B"), 0, 2)
+
+
 def test_check_nonconn_rejects_equal_labels():
     with pytest.raises(ValidationError):
         check_nonconn(range(3), PI, 0, 1)
@@ -220,8 +225,10 @@ def test_tolerant_indices_are_the_least_constant_indices():
         ({1: "A"}, r"labeling undefined on points \[0, 2\]"),
         ({0: "A", 1: 1, 2: "B"}, "label of point 1 must be a non-empty string"),
         ({0: "A", 1: "", 2: "B"}, "label of point 1 must be a non-empty string"),
+        ([0, 1, 2], "labeling must be a mapping from points to labels, got a list"),
+        (["A", "A", "B"], "labeling must be a mapping from points to labels, got a list"),
     ],
-    ids=["missing", "non-str", "empty"],
+    ids=["missing", "non-str", "empty", "list-of-points", "list-of-tokens"],
 )
 def test_tolerance_report_rejects_a_partial_or_non_str_labeling(pi, message):
     with pytest.raises(ValidationError, match=f"^{message}$"):
