@@ -102,49 +102,47 @@ def _bounded_entries(oracle: EnumerationOracle, config: CodedSpaceConfig) -> dic
     return {x: s for x, s in oracle.entries.items() if s <= config.stage_bound}
 
 
-def _role(entries: dict[int, int], x: int, s: int) -> str | None:
-    """The role of code(x, s) as an appearance code.
-
-    The role is LABEL_A when x is newly enumerated at s (the code lies in
-    V_a), LABEL_B when s >= 1 and x is newly enumerated at s - 1 (it lies
-    in V_b), and None otherwise.
-    """
-    if entries.get(x) == s:
-        return LABEL_A
-    if s >= 1 and entries.get(x) == s - 1:
-        return LABEL_B
-    return None
+def _roles(entries: dict[int, int], m: int) -> dict[int, str]:
+    """The appearance codes within 0..m and their roles: code(x, s) is in V_a
+    (LABEL_A) and code(x, s + 1) in V_b (LABEL_B) when x is newly enumerated
+    at s.  ``pair`` is a bijection, so no code gets both roles."""
+    roles: dict[int, str] = {}
+    for x, s in entries.items():
+        if (y := pair(x, s)) <= m:
+            roles[y] = LABEL_A
+            if (y := y + x + s + 1) <= m:  # code(x, s + 1)
+                roles[y] = LABEL_B
+    return roles
 
 
 def _labeling(
     entries: dict[int, int], config: CodedSpaceConfig
-) -> tuple[dict[int, str], dict[str, list[int]], list[list[int]]]:
-    """pi, the members of V_a and V_b by label, and each x's codes of stage <= T.
+) -> tuple[dict[int, str], dict[int, str], list[list[int]]]:
+    """pi, the role table of ``_roles``, and each coded owner's codes of stage <= T.
 
-    One pass reads each y = code(x, s) in 0..M once, with its role,
-    diagonal by diagonal: on diagonal d = x + s, y runs up from
-    d(d+1)/2 as x runs up from 0, so y ascends without unpairing.  A
-    role puts y into V_a or V_b and is y's label; otherwise y copies
-    pi(x), x < y, except at the bases pi(a) = 0, pi(b) = 1, pi(0) = 0.
-    Codes of stages s <= T join x's list in ascending s.
+    One pass reads each y = code(x, s) in 0..M once, diagonal by
+    diagonal: on diagonal d = x + s, y runs up from d(d+1)/2 as x runs
+    up from 0, so y ascends without unpairing.  A role of y (V_a or V_b)
+    is y's label; otherwise y copies pi(x), x < y, except at the bases
+    pi(a) = 0, pi(b) = 1, pi(0) = 0.  Only an x with code(x, 0) <= M owns
+    codes: its list opens at that code, the last y of diagonal x, and
+    takes its codes in ascending s.
     """
     a, b, m, t = config.a, config.b, config.point_bound, config.stage_bound
+    roles = _roles(entries, m)
     pi = {0: LABEL_A, a: LABEL_A, b: LABEL_B}
-    endpoint_vics: dict[str, list[int]] = {LABEL_A: [a], LABEL_B: [b]}
-    codes: list[list[int]] = [[] for _ in range(m + 1)]
+    codes: list[list[int]] = []
     y = d = 0
     while y <= m:  # y = d(d+1)/2, the code of (0, d)
         for x in range(min(d, m - y) + 1):
-            s = d - x
-            role = _role(entries, x, s)
-            if role is not None:
-                endpoint_vics[role].append(y)
-            pi.setdefault(y, pi[x] if role is None else role)
-            if s <= t:
+            pi.setdefault(y, roles.get(y, pi[x]))
+            if x == d:  # y = code(x, 0)
+                codes.append([y])
+            elif d - x <= t:
                 codes[x].append(y)
             y += 1
         d += 1
-    return pi, endpoint_vics, codes
+    return pi, roles, codes
 
 
 def validate_config(oracle: EnumerationOracle, config: CodedSpaceConfig) -> list[str]:
@@ -176,13 +174,13 @@ def validate_config(oracle: EnumerationOracle, config: CodedSpaceConfig) -> list
     if problems:
         return problems
     entries = _bounded_entries(oracle, config)
+    roles = _roles(entries, m)
     pi: dict[int, str] = {}
     for e, name in ((a, "a"), (b, "b")):
         if e in entries:
             problems.append(f"endpoint {name}={e} is enumerated (stage {entries[e]})")
         x, s = unpair(e)
-        role = _role(entries, x, s)
-        if role is not None:
+        if e in roles:
             problems.append(
                 f"endpoint {name}={e} is the code of ({x},{s}) with {x} newly enumerated at {entries[x]}"
             )
@@ -216,33 +214,30 @@ def validate_config(oracle: EnumerationOracle, config: CodedSpaceConfig) -> list
 
 def build_coded_space(oracle: EnumerationOracle, config: CodedSpaceConfig) -> CodedSpace:
     """Construct the coded space and its labeling (see ``_labeling``) for a valid config."""
-    problems = validate_config(oracle, config)
-    if problems:
+    if problems := validate_config(oracle, config):
         raise CodingConfigError("; ".join(problems))
     a, b, m, t = config.a, config.b, config.point_bound, config.stage_bound
-    pi, endpoint_vics, codes = _labeling(_bounded_entries(oracle, config), config)
-    systems: dict[int, VicinitySystem] = {
-        a: VicinitySystem(a, (frozenset(endpoint_vics[LABEL_A]),), STRONG),
-        b: VicinitySystem(b, (frozenset(endpoint_vics[LABEL_B]),), STRONG),
-    }
-    for x in range(m + 1):
-        if x in (a, b):
+    pi, roles, codes = _labeling(_bounded_entries(oracle, config), config)
+    systems: dict[int, VicinitySystem] = {}
+    for e, label in ((a, LABEL_A), (b, LABEL_B)):  # V_a and V_b: the endpoint and the codes of its role
+        systems[e] = VicinitySystem(e, (frozenset([e, *(y for y, r in roles.items() if r == label)]),), STRONG)
+    for x, owned in enumerate(codes):
+        if x == a or x == b:
             continue
-        if not codes[x]:  # code(x, 0) > M: the one vicinity {x}
-            systems[x] = VicinitySystem(x, (frozenset((x,)),), STRONG)
-            continue
-        # codes[x] is code(x, 0..k-1), the codes of x within 0..M, and
+        # owned is code(x, 0..k-1), the codes of x within 0..M, and
         # V_{x,n} = V_{x,n+1} + {code(x, n)}: grow the chain from n = T
         # down, keeping each set once, then restore ascending n.
         members = {x}
-        chain = [frozenset(members)] if len(codes[x]) <= t else []
-        for code in reversed(codes[x]):
+        chain = [frozenset(members)] if len(owned) <= t else []
+        for code in reversed(owned):
             members.add(code)
             vic = frozenset(members)
             if not chain or vic != chain[-1]:
                 chain.append(vic)
-        chain.reverse()
-        systems[x] = VicinitySystem(x, tuple(chain), STRONG)
+        systems[x] = VicinitySystem(x, tuple(chain[::-1]), STRONG)
+    for x in range(len(codes), m + 1):  # code(x, 0) > M: the one vicinity {x}
+        if x != a and x != b:
+            systems[x] = VicinitySystem(x, (frozenset((x,)),), STRONG)
     space = FiniteVSpace(m + 1, systems, STRONG)
     return CodedSpace(space, pi, config)
 

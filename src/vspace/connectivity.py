@@ -67,7 +67,7 @@ none of them.
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 
 from ._record import Record
 from .errors import DEFAULT_MAX_COVERS, BudgetExceededError, ValidationError
@@ -121,14 +121,19 @@ def chain_exists(space: FiniteVSpace, cover: Cover, a: int, b: int) -> list[int]
     neighbours in ascending order, so the result is deterministic.
     """
     require_valid_space(space)
-    if not isinstance(cover, Mapping):
+    if type(cover) is not dict and not isinstance(cover, Mapping):  # a dict skips the slow ABC check
         raise ValidationError(f"cover must be a mapping from points to indices, got a {type(cover).__name__}")
+    systems, chosen = space.systems, []
     for p in space.points:  # lists the missing points only when there are some
         if p not in cover:
             raise ValidationError(f"cover missing points {[p for p in space.points if p not in cover]}")
+        i, vics = cover[p], systems[p].vicinities
+        if type(i) is int and 0 <= i < len(vics):
+            chosen.append(vics[i])
     if stray := _not_points(cover, space.num_points):
         raise ValidationError(f"cover mentions unknown points {stray}")
-    chosen = [resolve_choice(space.systems[p], cover[p]) for p in space.points]
+    if len(chosen) < space.num_points:  # weak padding, or the index error of the least such point
+        chosen = [resolve_choice(systems[p], cover[p]) for p in space.points]
     require_points(space, (a, b), "endpoints")
     return _chain(chosen, a, b)
 

@@ -221,10 +221,7 @@ def serialize_cover(cover: dict[int, int]) -> str:
     for p, index in cover.items():
         if not (type(p) is int and type(index) is int and p >= 0 and index >= 0):
             raise ValidationError(f"cover entry {p!r}: {index!r} is not a point and an index, each an int >= 0")
-    out = ["cover v1"]
-    for p in sorted(cover):
-        out.append(f"choose {p} {cover[p]}")
-    return "\n".join(out) + "\n"
+    return "\n".join(["cover v1"] + [f"choose {p} {cover[p]}" for p in sorted(cover)]) + "\n"
 
 
 def parse_oracle(text: str) -> EnumerationOracle:

@@ -14,10 +14,10 @@ frozensets, so the result cannot go stale.
 """
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping, Sequence
 from functools import cached_property
 from itertools import chain
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
 
 from ._record import Record
 from .errors import ValidationError

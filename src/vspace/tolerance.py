@@ -71,15 +71,18 @@ def _tolerance(space: FiniteVSpace, pi: Labeling) -> ToleranceReport:
     """
     violations = set()
     indices: dict[int, int] = {}
+    systems = space.systems
     for p in space.points:
         label = pi[p]
-        for i, vic in enumerate(space.systems[p].vicinities):
+        i = 0
+        for vic in systems[p].vicinities:
             for y in vic:
                 if pi[y] != label:
                     break
             else:
                 indices[p] = i
                 break
+            i += 1
         else:
             violations.add(p)
     return ToleranceReport(frozenset(violations), indices)

@@ -82,18 +82,32 @@ ROLES = [
 
 @pytest.mark.parametrize("x, s, role", ROLES, ids=[f"{x}-{s}" for x, s, _ in ROLES])
 def test_the_role_of_a_code_reads_the_first_appearance_stage(x, s, role):
-    assert coding._role(dict(K1.entries), x, s) == role
+    assert coding._roles(dict(K1.entries), pair(x, s)).get(pair(x, s)) == role
     if role is not None:
         assert K1_PI[pair(x, s)] == role
 
 
-@given(st.dictionaries(st.integers(0, 20), st.integers(0, 6), max_size=6))
-def test_a_value_has_one_code_of_each_role_exactly_when_enumerated(entries):
+def old_role_rule(entries, m):
+    """The role rule read code by code: unpair each y <= m into (x, s)."""
+    roles = {}
+    for y in range(m + 1):
+        x, s = unpair(y)
+        if entries.get(x) == s:
+            roles[y] = coding.LABEL_A
+        elif s >= 1 and entries.get(x) == s - 1:
+            roles[y] = coding.LABEL_B
+    return roles
+
+
+@given(st.dictionaries(st.integers(0, 20), st.integers(0, 6), max_size=6), st.integers(0, 400))
+def test_a_value_has_one_code_of_each_role_exactly_when_enumerated(entries, m):
     entries = dict(EnumerationOracle(entries, 6).entries)
+    roles = coding._roles(entries, pair(20, 7))
     for x in range(21):
         new = [entries[x]] if x in entries else []
-        assert [s for s in range(8) if coding._role(entries, x, s) == coding.LABEL_A] == new
-        assert [s for s in range(8) if coding._role(entries, x, s) == coding.LABEL_B] == [s + 1 for s in new]
+        assert [s for s in range(8) if roles.get(pair(x, s)) == coding.LABEL_A] == new
+        assert [s for s in range(8) if roles.get(pair(x, s)) == coding.LABEL_B] == [s + 1 for s in new]
+    assert coding._roles(entries, m) == old_role_rule(entries, m)
 
 
 def test_entries_past_the_stage_bound_are_not_read():
@@ -104,11 +118,11 @@ def test_entries_past_the_stage_bound_are_not_read():
 def test_every_code_with_a_role_is_labelled_by_it():
     coded = build_coded_space(K1, K1_CONFIG)
     entries = coding._bounded_entries(K1, K1_CONFIG)
-    roles = {y: coding._role(entries, *unpair(y)) for y in coded.space.points}
-    assert {y for y, role in roles.items() if role is not None} == {pair(3, 1), pair(3, 2)}
+    roles = coding._roles(entries, K1_CONFIG.point_bound)
+    assert roles == old_role_rule(entries, K1_CONFIG.point_bound)
+    assert set(roles) == {pair(3, 1), pair(3, 2)}
     for y, role in roles.items():
-        if role is not None:
-            assert coded.pi[y] == role
+        assert coded.pi[y] == role
 
 
 def test_config_rejects_enumerated_endpoint():
@@ -295,6 +309,10 @@ def test_differential_configs_cover_the_edge_cases():
         for x in range(c.point_bound + 1)
         if x not in (c.a, c.b)
     )
+    # An endpoint among the owners of codes and one past them: the build
+    # skips endpoints in both of its loops.
+    assert any(pair(e, 0) <= c.point_bound for c in configs for e in (c.a, c.b))
+    assert any(pair(e, 0) > c.point_bound for c in configs for e in (c.a, c.b))
 
 
 @pytest.mark.parametrize("oracle,config", DIFFERENTIAL_CONFIGS)
@@ -304,6 +322,8 @@ def test_build_matches_the_reference_definition(oracle, config):
         oracle.entries, config.a, config.b, config.point_bound, config.stage_bound
     )
     assert {p: s.vicinities for p, s in coded.space.systems.items()} == expected
+    points = range(config.point_bound + 1)
+    assert list(coded.space.systems) == [config.a, config.b, *(x for x in points if x not in (config.a, config.b))]
     assert coded.pi == reference_pi(
         oracle.entries, config.a, config.b, config.point_bound, config.stage_bound
     )

@@ -4,7 +4,9 @@ import itertools
 import random
 import time
 import tracemalloc
+from collections.abc import Mapping
 from pathlib import Path
+from types import MappingProxyType
 
 import pytest
 from hypothesis import given, settings
@@ -24,6 +26,7 @@ from vspace import (
     decode_from_cover,
     is_connected,
     make_space,
+    tolerant_cover,
     validate_config,
     validate_space,
     verify_witness,
@@ -526,12 +529,72 @@ def test_chain_checks_word_bad_indices(check, index, message):
         check(s1(), {0: 0, 1: index, 2: 0}, 0, 2)
 
 
+def weak_three():
+    return make_space({0: [{0}], 1: [{1}, {1, 2}], 2: [{2, 0}, {2}]}, WEAK)
+
+
 def test_chain_checks_read_a_weak_index_past_the_end_as_vicinity_zero():
-    weak = make_space({0: [{0}], 1: [{1}, {1, 2}], 2: [{2, 0}, {2}]}, WEAK)
+    weak = weak_three()
     assert chain_exists(weak, {0: 0, 1: 1, 2: 5}, 0, 1) == [0, 2, 1]
     assert chain_exists(weak, {0: 0, 1: 5, 2: 1}, 0, 1) is None
     assert verify_witness(weak, {0: 0, 1: 5, 2: 1}, 0, 1)
     assert not verify_witness(weak, {0: 0, 1: 1, 2: 5}, 0, 1)
+
+
+# Covers with several faults: a missing point is reported first, then a
+# stray key, then the bad index of the least point that has one.
+SEVERAL_FAULTS = {
+    "out-of-range-then-missing": (s1, {0: 0, 1: 2}, r"cover missing points \[2\]"),
+    "out-of-range-and-stray": (s1, {0: 0, 1: 2, 2: 0, 3: 0}, r"cover mentions unknown points \[3\]"),
+    "padded-and-stray": (weak_three, {0: 0, 1: 5, 2: 1, 7: 0}, r"cover mentions unknown points \[7\]"),
+    "two-bad-indices": (s1, {0: 0, 1: 2, 2: -1}, r"index 2 out of range for point 1 \(strong system of length 2\)"),
+    "padded-then-bad": (weak_three, {0: 3, 1: 5, 2: -1}, r"vicinity index -1 for point 2 is not a non-negative int"),
+}
+
+
+@pytest.mark.parametrize("check", [chain_exists, verify_witness])
+@pytest.mark.parametrize("case", sorted(SEVERAL_FAULTS))
+def test_a_cover_with_several_faults_reports_the_first_in_order(check, case):
+    space, cover, message = SEVERAL_FAULTS[case]
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        check(space(), cover, 0, 2)
+
+
+class DictSubclass(dict):
+    pass
+
+
+class PlainMapping(Mapping):
+    def __init__(self, items):
+        self._items = dict(items)
+
+    def __getitem__(self, key):
+        return self._items[key]
+
+    def __iter__(self):
+        return iter(self._items)
+
+    def __len__(self):
+        return len(self._items)
+
+
+@pytest.mark.parametrize("kind", [MappingProxyType, DictSubclass, PlainMapping], ids=lambda kind: kind.__name__)
+def test_a_cover_of_any_mapping_type_gives_the_dict_chain(kind):
+    coded = build_coded_space(EnumerationOracle({3: 1, 5: 2}, 8), CodedSpaceConfig(0, 2, 300, 8))
+    tolerant = tolerant_cover(coded.space, coded.pi)
+    cases = [
+        (s1(), C1, 0, 2),
+        (s1(), C2, 0, 2),
+        (weak_three(), {0: 0, 1: 1, 2: 5}, 0, 1),
+        (weak_three(), {0: 0, 1: 5, 2: 1}, 0, 1),
+        (coded.space, tolerant, 0, 2),
+        (coded.space, {p: 0 for p in coded.space.points}, 0, 2),
+    ]
+    for space, cover, a, b in cases:
+        assert chain_exists(space, kind(cover), a, b) == chain_exists(space, cover, a, b)
+        assert verify_witness(space, kind(cover), a, b) == verify_witness(space, cover, a, b)
+    witnessed = [chain_exists(space, cover, a, b) is None for space, cover, a, b in cases]
+    assert witnessed == [True, False, False, True, True, False]
 
 
 def test_resolve_choice_rejects_a_negative_index():
