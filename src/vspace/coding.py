@@ -98,8 +98,9 @@ class RoundtripReport(Record):
 
 
 def _bounded_entries(oracle: EnumerationOracle, config: CodedSpaceConfig) -> dict[int, int]:
-    """Oracle entries visible within the configured stage bound."""
-    return {x: s for x, s in oracle.entries.items() if s <= config.stage_bound}
+    """Oracle entries a coded space can see: x within the point bound, s within the stage bound."""
+    m, t = config.point_bound, config.stage_bound
+    return {x: s for x, s in oracle.entries.items() if x <= m and s <= t}
 
 
 def _roles(entries: dict[int, int], m: int) -> dict[int, str]:
@@ -197,8 +198,6 @@ def validate_config(oracle: EnumerationOracle, config: CodedSpaceConfig) -> list
             "its own code (0,0) would defeat the least-code decode rule"
         )
     for x in sorted(entries):
-        if x > m:
-            continue
         s = entries[x]
         if s + 2 > t:
             problems.append(

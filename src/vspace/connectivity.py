@@ -51,18 +51,19 @@ none of them.
   three it branches on the lowest undecided point, B first.  A split is
   a cut exactly when its tolerant cover exists: each point takes its
   least original index whose vicinity lies inside its side, and that
-  cover is the witness.
+  cover is the witness.  One routine, ``_witness``, builds it for all
+  three completions.
 
   The closure leaves every point of A with an option that avoids B,
   every point of B with one that avoids A, and every undecided point
   with both (it was examined and fits both sides, or none of its
   options meets a decided point).  So (A, rest) can fail only at a
   point of A with no option inside A, and (rest, B) only at a point of
-  B: those points are tested on masks first, and the cover is built
-  only when they all pass.  The search, its masks and watch lists are
-  compiled in one pass over the space, once per call, and a query
-  (endpoints, node budget) leaves it unchanged.  Its verdict is
-  ``brute``'s; its witness is valid but may differ.
+  B: ``_witness`` is handed those points to test on masks first, and
+  builds the cover only when they all pass.  The search, its masks and
+  watch lists are compiled in one pass over the space, once per call,
+  and a query (endpoints, node budget) leaves it unchanged.  Its
+  verdict is ``brute``'s; its witness is valid but may differ.
 """
 from __future__ import annotations
 
@@ -281,23 +282,32 @@ class _PrunedSearch:
                         break
             frontier = added & ~grown
             grown |= frontier
-        if (witness := self._witness(grown)) is not None:
-            return witness
-        for side in (side_a, side_b):
-            if self._inside(side):
-                return self._witness(side)
+        for side, first in ((grown, 0), (side_a, side_a), (side_b, side_b)):
+            if (witness := self._witness(side, first)) is not None:
+                return witness
         decided = side_a | side_b
         p = ~decided & (decided + 1)  # the lowest undecided point: one exists, or (A, B) was a cut
         stack.append((side_a | p, side_b, p))
         stack.append((side_a, side_b | p, p))
         return None
 
-    def _witness(self, split: int) -> dict[int, int] | None:
+    def _witness(self, split: int, first: int = 0) -> dict[int, int] | None:
         """Each point's least original index whose vicinity lies inside
-        its side of (split, the rest); None if some point has none."""
+        its side of (split, the rest); None if some point has none.  The
+        points of ``first``, a part of ``split``, are tested on masks
+        before any index is recorded."""
+        choices, outside = self.choices, ~split
+        while first:
+            low = first & -first
+            first ^= low
+            for m in choices[low.bit_length() - 1]:
+                if not m & outside:
+                    break
+            else:
+                return None
         witness = {}
-        for x, options in enumerate(self.choices):
-            avoid = ~split if split >> x & 1 else split
+        for x, options in enumerate(choices):
+            avoid = outside if split >> x & 1 else split
             for i, m in enumerate(options):
                 if not m & avoid:
                     witness[x] = i
@@ -305,20 +315,6 @@ class _PrunedSearch:
             else:
                 return None
         return witness
-
-    def _inside(self, side: int) -> bool:
-        """Whether each point of a closed side has an option inside it:
-        then, and only then, the split (side, the rest) is a cut."""
-        choices, outside = self.choices, ~side
-        while side:
-            low = side & -side
-            side ^= low
-            for m in choices[low.bit_length() - 1]:
-                if not m & outside:
-                    break
-            else:
-                return False
-        return True
 
     def _close(self, side_a: int, side_b: int, new: int) -> tuple[int, int] | None:
         """Close the sides under the forcing rule; None on a conflict."""

@@ -6,6 +6,8 @@ from pathlib import Path
 import pytest
 
 import vspace.coding as coding
+import vspace.connectivity as connectivity
+import vspace.tolerance as tolerance
 from vspace import ParseError
 from vspace.cli import main
 from vspace.files import parse_space
@@ -197,6 +199,16 @@ def test_verify_nontol_not_applicable(capsys):
     code, out, _ = run(capsys, "verify-nontol", fx("s1.vs"))
     assert code == 0
     assert out == "notapplicable\nreason not connected\n"
+
+
+def test_verify_nontol_prints_refuted_and_fails_when_the_decision_lies(capsys, monkeypatch):
+    monkeypatch.setattr(tolerance, "_decide", lambda *args: connectivity._CONNECTED)
+    assert run(capsys, "verify-nontol", fx("s1.vs")) == (1, "refuted\n", "")
+
+
+def test_verify_nonconn_prints_refuted_and_fails_when_a_chain_is_found(capsys, monkeypatch):
+    monkeypatch.setattr(tolerance, "chain_exists", lambda *args: [0, 2])
+    assert run(capsys, "verify-nonconn", fx("s1.vs")) == (1, "refuted\n", "")
 
 
 def test_verify_nontol_equal_labels(capsys):

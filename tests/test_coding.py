@@ -111,7 +111,8 @@ def test_a_value_has_one_code_of_each_role_exactly_when_enumerated(entries, m):
 
 
 def test_entries_past_the_stage_bound_are_not_read():
-    oracle = EnumerationOracle({3: 1, 5: 3, 6: 2}, 4)
+    # 5 is past the stage bound and 26 past the point bound.
+    oracle = EnumerationOracle({3: 1, 5: 3, 6: 2, 26: 0}, 4)
     assert coding._bounded_entries(oracle, CodedSpaceConfig(a=0, b=2, point_bound=25, stage_bound=2)) == {3: 1, 6: 2}
 
 

@@ -420,6 +420,34 @@ def test_pruned_engine_on_a_dense_family_of_16_and_20_points_is_pinned(monkeypat
     assert digest.hexdigest() == "3f68a38019f20b969526b6a31ae918098bfc6ca82f92d810a360102dcd7cf035"
 
 
+def test_witness_early_exit_never_changes_the_answer():
+    # Pre-testing the points of split on masks may only return early what
+    # the full pass returns anyway: each point's least index whose set lies
+    # inside its own side, or None.  Splits are any masks, closed or not.
+    def reference(space, split):
+        witness = {}
+        for x in space.points:
+            side = {p for p in space.points if (split >> p & 1) == (split >> x & 1)}
+            inside = [i for i, vic in enumerate(space.systems[x].vicinities) if vic <= side]
+            if not inside:
+                return None
+            witness[x] = inside[0]
+        return witness
+
+    rng = random.Random(91_000)
+    weak = found = 0
+    for _ in range(300):
+        space = random_space(rng, max_points=7, max_vics=4)
+        weak += space.mode == WEAK
+        search = _PrunedSearch(space)
+        for _ in range(8):
+            split = rng.randrange(1 << space.num_points)
+            expected = reference(space, split)
+            found += expected is not None
+            assert search._witness(split, split) == search._witness(split) == expected
+    assert weak > 50 and 100 < found < 2300
+
+
 def test_pruned_engine_decides_a_long_chain_without_recursion():
     # Point p may reach p + 1, so a search that recursed once per decided
     # point would pass Python's recursion limit long before the end.

@@ -1,5 +1,6 @@
 import random
 import time
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +9,7 @@ import vspace.tolerance as tolerance
 from vspace import (
     HOLDS,
     NOT_APPLICABLE,
+    REFUTED,
     STRONG,
     WEAK,
     TheoremOutcome,
@@ -22,10 +24,12 @@ from vspace import (
     tolerant_cover,
     verify_witness,
 )
+from vspace.files import parse_space
 
 from _helpers import double_loop_tolerant, least_constant_indices, random_labeling, random_space
 
 PI = {0: "A", 1: "A", 2: "B"}
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def s1():
@@ -101,6 +105,20 @@ def test_check_nontol_not_applicable_when_disconnected():
     outcome = check_nontol(s1(), PI, 0, 2)
     assert outcome.status == NOT_APPLICABLE
     assert outcome.reason == "not connected"
+
+
+# s1.vs is tolerant, labels its endpoints apart and does not connect them,
+# so each theorem is refuted only when its decision is patched to lie.
+def test_check_nontol_is_refuted_by_a_connected_answer_on_a_tolerant_space(monkeypatch):
+    doc = parse_space((FIXTURES / "s1.vs").read_text())
+    monkeypatch.setattr(tolerance, "_decide", lambda *args: connectivity._CONNECTED)
+    assert check_nontol(doc.space, doc.labels, doc.a, doc.b) == TheoremOutcome(REFUTED)
+
+
+def test_check_nonconn_is_refuted_by_a_chain_across_the_labels(monkeypatch):
+    doc = parse_space((FIXTURES / "s1.vs").read_text())
+    monkeypatch.setattr(tolerance, "chain_exists", lambda *args: [0, 2])
+    assert check_nonconn(doc.space.points, doc.labels, doc.a, doc.b) == TheoremOutcome(REFUTED)
 
 
 def test_check_nontol_not_applicable_on_equal_labels():
