@@ -41,7 +41,7 @@ from __future__ import annotations
 import re
 from typing import TYPE_CHECKING
 
-from ._record import Record
+from ._record import Record, setters
 from .errors import ParseError, ValidationError
 from .spaces import STRONG, WEAK, FiniteVSpace, make_space, require_points
 
@@ -65,10 +65,13 @@ class SpaceDocument(Record):
     def __init__(
         self, space: FiniteVSpace, labels: dict[int, str] | None = None, a: int | None = None, b: int | None = None
     ) -> None:
-        object.__setattr__(self, "space", space)
-        object.__setattr__(self, "labels", {} if labels is None else labels)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
+        _set_space(self, space)
+        _set_labels(self, {} if labels is None else labels)
+        _set_a(self, a)
+        _set_b(self, b)
+
+
+_set_space, _set_labels, _set_a, _set_b = setters(SpaceDocument)
 
 
 def _lines(text: str) -> list[tuple[int, list[str]]]:

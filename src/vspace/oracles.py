@@ -12,7 +12,7 @@ from __future__ import annotations
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
-from ._record import Record
+from ._record import Record, setters
 from .errors import ValidationError
 
 # Register machine instructions over two registers r0, r1:
@@ -49,8 +49,11 @@ class EnumerationOracle(Record):
                 raise ValidationError(f"enumerated value {x!r} must be non-negative and an int")
             if type(s) is not int or not 0 <= s <= stage_bound:
                 raise ValidationError(f"stage {s!r} of value {x} is not an int in 0..{stage_bound}")
-        object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "stage_bound", stage_bound)
+        _set_entries(self, entries)
+        _set_stage_bound(self, stage_bound)
+
+
+_set_entries, _set_stage_bound = setters(EnumerationOracle)
 
 
 def _check_stage_bound(stage_bound: int) -> None:

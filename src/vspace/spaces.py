@@ -19,7 +19,7 @@ from functools import cached_property
 from itertools import chain
 from types import MappingProxyType
 
-from ._record import Record
+from ._record import Record, setters
 from .errors import ValidationError
 
 WEAK = "weak"
@@ -51,21 +51,27 @@ class VicinitySystem(Record):
 class FiniteVSpace(Record):
     """A V-space on the dense point set 0..num_points-1."""
 
+    __slots__ = ("__dict__",)  # the memos below
     _fields = ("num_points", "systems", "mode")
 
     def __init__(self, num_points: int, systems: Mapping[int, VicinitySystem], mode: str = STRONG) -> None:
-        object.__setattr__(self, "num_points", num_points)
-        object.__setattr__(self, "systems", MappingProxyType(dict(systems)))
-        object.__setattr__(self, "mode", mode)
+        _set_num_points(self, num_points)
+        _set_systems(self, MappingProxyType(dict(systems)))
+        _set_mode(self, mode)
 
-    @property
+    @cached_property
     def points(self) -> range:
+        """``range(num_points)``, built on first use only; raises, and keeps
+        nothing, while ``num_points`` is not an int."""
         return range(self.num_points)
 
     @cached_property
     def violations(self) -> tuple[Violation, ...]:
         """``validate_space`` of this space, computed on first use only."""
         return tuple(validate_space(self))
+
+
+_set_num_points, _set_systems, _set_mode = setters(FiniteVSpace)
 
 
 def make_space(

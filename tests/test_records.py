@@ -3,9 +3,11 @@
 Each class is an immutable record: built by keyword or position, equal to
 another instance of the same class with equal fields, hashed by its field
 tuple, printed as ``Name(field=value, ...)``, and refusing assignment and
-deletion.
+deletion.  A record holds only its fields, in slots; a space alone keeps a
+``__dict__``, for its memos.
 """
 import inspect
+import weakref
 from types import MappingProxyType
 
 import pytest
@@ -27,7 +29,9 @@ from vspace import (
     ToleranceReport,
     VicinitySystem,
     Violation,
+    validate_space,
 )
+from vspace._record import Record
 from vspace.files import SpaceDocument
 
 SYSTEM = VicinitySystem(owner=0, vicinities=(frozenset({0}),), mode=STRONG)
@@ -162,6 +166,63 @@ def test_clones_are_equal_records(cls, fields, clone):
     assert type(twin) is cls and twin == record
 
 
+@pytest.mark.parametrize("cls, fields", RECORDS, ids=IDS)
+def test_each_field_has_a_slot(cls, fields):
+    slots = {slot for klass in cls.__mro__ for slot in vars(klass).get("__slots__", ())}
+    assert set(cls._fields) <= slots
+    record = cls(**fields)
+    assert hasattr(record, "__dict__") == (cls is FiniteVSpace)
+    assert weakref.ref(record)() is record
+
+
+# ``object.__setattr__`` passes by ``Record.__setattr__``; without a
+# ``__dict__`` a name that is not a slot has nowhere to go.  A space's
+# ``__dict__`` holds its memos, so a space is left out.
+@pytest.mark.parametrize("cls, fields", [(cls, fields) for cls, fields in RECORDS if cls is not FiniteVSpace])
+def test_a_stray_attribute_is_refused_even_past_setattr(cls, fields):
+    record = cls(**fields)
+    with pytest.raises(AttributeError):
+        object.__setattr__(record, "stray", 1)
+    assert record == cls(**fields)
+
+
+# A subclass of each class that does not restate ``_fields``, kept as a
+# module global so that pickle finds it by name.
+SUBCLASSES = {cls: type(f"Sub{cls.__name__}", (cls,), {"__module__": __name__}) for cls, _ in RECORDS}
+globals().update({sub.__name__: sub for sub in SUBCLASSES.values()})
+
+
+@pytest.mark.parametrize("clone", CLONES, ids=["copy", "deepcopy", "pickle"])
+@pytest.mark.parametrize("cls, fields", RECORDS, ids=IDS)
+def test_a_subclass_that_keeps_the_fields_constructs_compares_and_clones(cls, fields, clone):
+    sub = SUBCLASSES[cls]
+    record = sub(**fields)
+    assert record == sub(*fields.values()) and record != cls(**fields)
+    assert hasattr(record, "__dict__") == (cls is FiniteVSpace)
+    twin = clone(record)
+    assert type(twin) is sub and twin == record
+
+
+def test_a_constructor_is_compiled_on_first_use_on_the_class_that_names_the_fields():
+    class Pair(Record):
+        _fields = ("left", "right")
+
+    class Sub(Pair):
+        pass
+
+    assert not inspect.isfunction(vars(Pair)["__init__"]) and "__init__" not in vars(Sub)
+    assert Sub(1, right=2) == Sub(1, 2) != Pair(1, 2)
+    init = vars(Pair)["__init__"]
+    assert inspect.isfunction(init) and init.__qualname__.endswith("Pair.__init__")
+    assert Pair(3, 4).right == 4 and vars(Pair)["__init__"] is init and "__init__" not in vars(Sub)
+
+    class Late(Record):
+        _fields = ("x",)
+        _defaults = {"x": 0}
+
+    assert str(inspect.signature(Late)) == "(x=0)" and Late().x == 0
+
+
 # The records that hold a read-only mapping, and the field that holds it.
 MAPPING_HOLDERS = [(FiniteVSpace, "systems"), (EnumerationOracle, "entries")]
 
@@ -183,6 +244,31 @@ def test_a_clone_of_a_space_validates_on_first_use(clone):
     twin = clone(space)
     assert "violations" not in vars(twin)
     assert twin.violations == () and "violations" in vars(twin)
+
+
+def test_a_space_builds_its_point_range_once():
+    space = FiniteVSpace(3, {})
+    assert "points" not in vars(space)
+    assert space.points is space.points and space.points == range(3)
+    assert vars(space)["points"] is space.points
+
+
+@pytest.mark.parametrize("clone", CLONES, ids=["copy", "deepcopy", "pickle"])
+def test_a_clone_of_a_space_builds_its_point_range_again(clone):
+    space = FiniteVSpace(1, {0: SYSTEM})
+    assert space.points == range(1)
+    twin = clone(space)
+    assert "points" not in vars(twin)
+    assert twin.points == range(1) and "points" in vars(twin)
+
+
+def test_a_space_of_bad_size_constructs_and_raises_only_on_its_point_range():
+    space = FiniteVSpace("3", {})
+    assert validate_space(space) == [Violation("bad-size", None, "point count '3' is not an int >= 0")]
+    for _ in range(2):
+        with pytest.raises(TypeError):
+            space.points
+        assert "points" not in vars(space)
 
 
 # The answers that carry no data are module constants, shared by every call.
