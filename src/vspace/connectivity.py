@@ -5,10 +5,14 @@ A cover picks one vicinity per point.  Two points are connected when
 vicinities intersect.  A cover admitting no such chain is a witness that
 the points are not connected.
 
-Under one given cover, ``_chain`` indexes each member to the points
-whose chosen set holds it, so ``chain_exists`` and ``verify_witness``
-take time linear in the size of the cover.  Both engines read each
-vicinity as an int bitmask (bit m set iff m is a member); masks meet iff
+Under one given cover, ``_chain`` indexes each member to the groups of
+points whose chosen set, of two or more members, holds it; points that
+choose equal sets form one group.  A point whose chosen set is only
+itself meets exactly the sets that hold it, so it is added as their
+member and never indexed.  So ``chain_exists`` and ``verify_witness``
+take time linear in the size of the cover, and a coded witness, most of
+whose sets are {x}, indexes few points.  Both engines read each vicinity
+as an int bitmask (bit m set iff m is a member); masks meet iff
 they share a bit; witnesses use the original indices.  ``brute`` reads,
 counts and searches in one routine.  Per point it reads a dict from each
 distinct mask to its first original index (identical sets induce
@@ -68,7 +72,7 @@ none of them.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Mapping, Sequence
 
 from ._record import Record
 from .errors import DEFAULT_MAX_COVERS, BudgetExceededError, ValidationError
@@ -131,8 +135,10 @@ def chain_exists(space: FiniteVSpace, cover: Cover, a: int, b: int) -> list[int]
         i, vics = cover[p], systems[p].vicinities
         if type(i) is int and 0 <= i < len(vics):
             chosen.append(vics[i])
-    if stray := _not_points(cover, space.num_points):
-        raise ValidationError(f"cover mentions unknown points {stray}")
+    # Every point is a key, so n keys that are all exact ints are the points.
+    if len(cover) != space.num_points or {*map(type, cover)} != {int}:
+        if stray := _not_points(cover, space.num_points):
+            raise ValidationError(f"cover mentions unknown points {stray}")
     if len(chosen) < space.num_points:  # weak padding, or the index error of the least such point
         chosen = [resolve_choice(systems[p], cover[p]) for p in space.points]
     require_points(space, (a, b), "endpoints")
@@ -144,44 +150,55 @@ def verify_witness(space: FiniteVSpace, cover: Cover, a: int, b: int) -> bool:
     return chain_exists(space, cover, a, b) is None
 
 
-def _chain(chosen: Sequence[Iterable[int]], a: int, b: int) -> list[int] | None:
+def _chain(chosen: Sequence[frozenset[int]], a: int, b: int) -> list[int] | None:
     """Shortest chain from a to b over the chosen sets, or None.  Two
     points are joined when their sets meet, and neighbours are visited
     in ascending order, so ties are broken the same way every time.
 
-    ``holders[m]`` lists the groups (the points choosing one set object)
-    whose set holds m, a point; an induced space shares one set per label
-    class, so this index is linear in n.  Each member and group is read
-    once (the index empties as it is read), and a point whose set was
-    already expanded is skipped: its neighbours have all been visited.
+    Each set holds its owner, so a point y whose set is {y} (a lone
+    point) is a neighbour of x exactly when y is in x's set: expanding x
+    adds its lone members directly.  Only the sets of two or more
+    members are indexed: ``holders[m]`` lists the groups (the points
+    choosing equal sets, keyed by the set, which saves an ``id`` call
+    per point) whose set holds m; an induced space shares one set per
+    label class, so this index is linear in n.  Each member and group is
+    read once (the index empties as it is read), and a point whose set
+    was already expanded is skipped: its neighbours have all been
+    visited.
     """
     if a == b:
         return [a]
-    groups: dict[int, list[int]] = {}
+    lone = [False] * len(chosen)
+    groups: dict[frozenset[int], list[int]] = {}
     for p, vic in enumerate(chosen):
-        groups.setdefault(id(vic), []).append(p)
+        if len(vic) > 1:
+            groups.setdefault(vic, []).append(p)
+        else:
+            lone[p] = True
     holders: list[list[list[int]]] = [[] for _ in chosen]
-    for group in groups.values():
-        for m in chosen[group[0]]:
+    for vic, group in groups.items():
+        for m in vic:
             holders[m].append(group)
     parent = [-1] * len(chosen)
     parent[a] = a
-    expanded: set[int] = set()  # ids of the sets expanded
+    expanded: set[frozenset[int]] = set()
     queue = [a]
     for x in queue:  # grows while it is read: breadth-first order
         vic = chosen[x]
-        if id(vic) in expanded:
+        if vic in expanded:
             continue
-        expanded.add(id(vic))
+        expanded.add(vic)
         new = []
         for m in vic:
+            if lone[m]:
+                new.append(m)
             for group in holders[m]:
                 new += group
                 group.clear()
             holders[m].clear()
         new.sort()
         for y in new:
-            if parent[y] < 0:  # of the points in reached groups, only a is visited
+            if parent[y] < 0:  # only a, or a lone point met before, can be visited already
                 parent[y] = x
                 queue.append(y)
         if parent[b] >= 0:

@@ -313,6 +313,14 @@ def test_code_decode_rejects_incomplete_cover(capsys, tmp_path):
     assert "cover missing points" in err
 
 
+def test_code_decode_rejects_a_cover_that_names_a_point_past_the_space(capsys, tmp_path):
+    cover = tmp_path / "stray.cov"
+    cover.write_text(Path(fx("coded_witness.cov")).read_text() + "choose 26 0\n")
+    code, out, err = run(capsys, "code-decode", "--space", fx("coded_small.vs"), "--cover", str(cover))
+    assert (code, out) == (2, "")
+    assert "cover mentions unknown points [26]" in err
+
+
 def test_code_roundtrip_golden(capsys):
     code, out, _ = run(
         capsys, "code-roundtrip", "--oracle", fx("k1.orc"), "--a", "0", "--b", "2",

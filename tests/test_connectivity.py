@@ -238,6 +238,11 @@ INCOMPLETE_COVERS = {
     "missing-several": ({1: 0}, r"cover missing points \[0, 2\]"),
     "stray": ({**C1, 3: 0}, r"cover mentions unknown points \[3\]"),
     "stray-mixed": ({**C1, "x": 0, 5: 0}, r"cover mentions unknown points \[5, 'x'\]"),
+    # A key equal to a point (1.0 == True == 1, False == 0) that is not an
+    # int, in a cover with one key per point.
+    "float-key": ({0: 0, 1.0: 0, 2: 0}, r"cover mentions unknown points \[1\.0\]"),
+    "true-key": ({0: 0, True: 0, 2: 0}, r"cover mentions unknown points \[True\]"),
+    "false-key": ({False: 0, 1: 0, 2: 0}, r"cover mentions unknown points \[False\]"),
     # A sequence is not read as a cover by its values.
     "list": ([0, 0, 0], "cover must be a mapping from points to indices, got a list"),
     "tuple": ((0, 0, 0), "cover must be a mapping from points to indices, got a tuple"),
@@ -821,6 +826,66 @@ def test_set_chains_match_the_mask_scan():
             assert _chain(chosen, a, b) == expected, seed
             assert chain_exists(space, cover, a, b) == expected, seed
     assert shared > 500 and copies > 500
+
+
+def singleton_heavy_chosen_sets(rng):
+    """Chosen sets of a random cover in which most points choose {p}, as
+    in a coded witness: a few points choose a wide set, a set nested in
+    one chosen before, or a pair, and a group of points may share one set.
+    """
+    n = rng.randint(3, 40)
+    chosen = [frozenset({p}) for p in range(n)]
+    # Each step gives at most `most` points a wider set, fewer than n/2 in all.
+    most = max(1, min(3, (n - 1) // 2))
+    for _ in range(rng.randint(1, max(1, (n - 1) // 6))):
+        p, kind = rng.randrange(n), rng.random()
+        wider = [v for v in chosen if len(v) > 2]
+        if kind < 0.3:
+            chosen[p] = frozenset([p] + [q for q in range(n) if rng.random() < 0.5])
+        elif kind < 0.5 and wider:
+            outer = sorted(rng.choice(wider))
+            chosen[p] = frozenset([p, *rng.sample(outer, rng.randint(1, len(outer) - 1))])
+        elif kind < 0.7 and most > 1:
+            group = rng.sample(range(n), rng.randint(2, most))
+            shared = frozenset(group + [rng.randrange(n)])
+            for q in group:
+                chosen[q] = shared
+        else:
+            chosen[p] = frozenset({p, rng.randrange(n)})
+    return chosen
+
+
+def test_chains_over_mostly_lone_sets_match_the_mask_scan():
+    # _chain adds a point whose set is {p} without indexing it; the chains
+    # must still be _path's.  chain_exists reads each set from a weak
+    # system, at index 0 or at a padding index past the end.
+    lone = points = shared = wide = padded = missed = linked = 0
+    for seed in range(2_000):
+        rng = random.Random(990_000 + seed)
+        chosen = singleton_heavy_chosen_sets(rng)
+        n = len(chosen)
+        singles = sum(len(v) == 1 for v in chosen)
+        assert 2 * singles > n, seed
+        lone, points = lone + singles, points + n
+        shared += len({id(v) for v in chosen}) < n
+        wide += max(map(len, chosen)) > n // 3 + 1
+        systems, cover = {}, {}
+        for p, vic in enumerate(chosen):
+            decoys = (frozenset({p, rng.randrange(n)}),) * rng.randint(0, 2)
+            systems[p] = VicinitySystem(p, (vic, *decoys), WEAK)
+            cover[p] = 0 if rng.random() < 0.7 else len(decoys) + 1 + rng.randrange(3)
+            padded += cover[p] > len(decoys)
+        space = FiniteVSpace(n, systems, WEAK)
+        masks = [sum(1 << m for m in v) for v in chosen]
+        for a in range(n):
+            b = rng.randrange(n)
+            expected = _path(masks, a, b)
+            missed += expected is None
+            linked += expected is not None and len(expected) > 2
+            assert _chain(chosen, a, b) == expected, seed
+            assert chain_exists(space, cover, a, b) == expected, seed
+    assert lone > 0.8 * points and shared > 200 and wide > 200 and padded > 5_000
+    assert missed > 5_000 and linked > 3_000
 
 
 def test_mask_closure_matches_the_reference_search():
