@@ -76,11 +76,11 @@ def cmd_connected(args) -> int:
     if verdict.connected:
         print("connected")
         return 0
+    cover = files.serialize_cover(verdict.witness)
     if args.witness_out:
-        _write(args.witness_out, files.serialize_cover(verdict.witness))
+        _write(args.witness_out, cover)
     print("notconnected")
-    for p in sorted(verdict.witness):
-        print(f"choose {p} {verdict.witness[p]}")
+    print(cover.partition("\n")[2], end="")  # the file's choose lines
     return 1
 
 
@@ -101,11 +101,10 @@ def cmd_tolerant_cover(args) -> int:
     from . import tolerance
 
     doc = _load_space(args.space)
-    cover = tolerance.tolerant_cover(doc.space, _labels(doc))
-    _write(args.out, files.serialize_cover(cover))
+    cover = files.serialize_cover(tolerance.tolerant_cover(doc.space, _labels(doc)))
+    _write(args.out, cover)
     print("ok")
-    for p in sorted(cover):
-        print(f"choose {p} {cover[p]}")
+    print(cover.partition("\n")[2], end="")  # the file's choose lines
     return 0
 
 

@@ -26,8 +26,8 @@ x <= code(x, s) and equality only at (0, 0).
 """
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping
 from math import isqrt
-from typing import Iterable, Mapping
 
 from ._record import Record
 from .connectivity import Cover, resolve_choice, verify_witness
@@ -175,13 +175,12 @@ def validate_config(oracle: EnumerationOracle, config: CodedSpaceConfig) -> list
     if problems:
         return problems
     entries = _bounded_entries(oracle, config)
-    roles = _roles(entries, m)
     pi: dict[int, str] = {}
     for e, name in ((a, "a"), (b, "b")):
         if e in entries:
             problems.append(f"endpoint {name}={e} is enumerated (stage {entries[e]})")
         x, s = unpair(e)
-        if e in roles:
+        if entries.get(x) in (s, s - 1):  # e = code(x, s) <= M has a role of ``_roles``
             problems.append(
                 f"endpoint {name}={e} is the code of ({x},{s}) with {x} newly enumerated at {entries[x]}"
             )

@@ -41,7 +41,7 @@ from __future__ import annotations
 import re
 from typing import TYPE_CHECKING
 
-from ._record import Record, setters
+from ._record import Record
 from .errors import ParseError, ValidationError
 from .spaces import STRONG, WEAK, FiniteVSpace, make_space, require_points
 
@@ -65,13 +65,7 @@ class SpaceDocument(Record):
     def __init__(
         self, space: FiniteVSpace, labels: dict[int, str] | None = None, a: int | None = None, b: int | None = None
     ) -> None:
-        _set_space(self, space)
-        _set_labels(self, {} if labels is None else labels)
-        _set_a(self, a)
-        _set_b(self, b)
-
-
-_set_space, _set_labels, _set_a, _set_b = setters(SpaceDocument)
+        self._store(space, {} if labels is None else labels, a, b)
 
 
 def _lines(text: str) -> list[tuple[int, list[str]]]:

@@ -9,10 +9,10 @@ budget within which it halts).
 """
 from __future__ import annotations
 
+from collections.abc import Mapping, Sequence
 from types import MappingProxyType
-from typing import Mapping, Sequence
 
-from ._record import Record, setters
+from ._record import Record
 from .errors import ValidationError
 
 # Register machine instructions over two registers r0, r1:
@@ -49,11 +49,7 @@ class EnumerationOracle(Record):
                 raise ValidationError(f"enumerated value {x!r} must be non-negative and an int")
             if type(s) is not int or not 0 <= s <= stage_bound:
                 raise ValidationError(f"stage {s!r} of value {x} is not an int in 0..{stage_bound}")
-        _set_entries(self, entries)
-        _set_stage_bound(self, stage_bound)
-
-
-_set_entries, _set_stage_bound = setters(EnumerationOracle)
+        self._store(entries, stage_bound)
 
 
 def _check_stage_bound(stage_bound: int) -> None:

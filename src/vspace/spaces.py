@@ -19,7 +19,7 @@ from functools import cached_property
 from itertools import chain
 from types import MappingProxyType
 
-from ._record import Record, setters
+from ._record import Record
 from .errors import ValidationError
 
 WEAK = "weak"
@@ -55,9 +55,7 @@ class FiniteVSpace(Record):
     _fields = ("num_points", "systems", "mode")
 
     def __init__(self, num_points: int, systems: Mapping[int, VicinitySystem], mode: str = STRONG) -> None:
-        _set_num_points(self, num_points)
-        _set_systems(self, MappingProxyType(dict(systems)))
-        _set_mode(self, mode)
+        self._store(num_points, MappingProxyType(dict(systems)), mode)
 
     @cached_property
     def points(self) -> range:
@@ -71,9 +69,6 @@ class FiniteVSpace(Record):
         return tuple(validate_space(self))
 
 
-_set_num_points, _set_systems, _set_mode = setters(FiniteVSpace)
-
-
 def make_space(
     vicinities: Mapping[int, Sequence[Iterable[int]]],
     mode: str = STRONG,
@@ -85,13 +80,15 @@ def make_space(
     point, an int (not a bool) >= 0, among the keys and members.  Points
     not mentioned as keys get an empty system and keys that are not
     points are kept, both flagged later by validate_space, so
-    deliberately broken spaces can be constructed.
+    deliberately broken spaces can be constructed; a ``num_points`` that
+    is not an int fills in no systems and is flagged as a bad size.
     """
     if num_points is None:
         members = (p for vics in vicinities.values() for v in vics for p in v)
         num_points = 1 + max((p for p in (*vicinities, *members) if type(p) is int and p >= 0), default=-1)
     systems = {p: VicinitySystem(p, tuple(map(frozenset, vics)), mode) for p, vics in vicinities.items()}
-    systems.update({p: VicinitySystem(p, (), mode) for p in range(num_points) if p not in systems})
+    if type(num_points) is int:
+        systems.update({p: VicinitySystem(p, (), mode) for p in range(num_points) if p not in systems})
     return FiniteVSpace(num_points, systems, mode)
 
 

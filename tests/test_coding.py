@@ -110,6 +110,29 @@ def test_a_value_has_one_code_of_each_role_exactly_when_enumerated(entries, m):
     assert coding._roles(entries, m) == old_role_rule(entries, m)
 
 
+# Oracles of at most two values, every value and stage small enough that
+# its codes fall among the endpoints below.
+SMALL_ORACLES = [EnumerationOracle({}, 4)] + [
+    EnumerationOracle(entries, 4)
+    for x in range(7)
+    for s in range(5)
+    for entries in ({x: s}, {1: 0, x: s})
+]
+
+
+def test_an_endpoint_is_named_a_code_exactly_when_the_role_table_gives_it_a_role():
+    for oracle, t in itertools.product(SMALL_ORACLES, (2, 4)):
+        for a, b in itertools.combinations(range(29), 2):
+            config = CodedSpaceConfig(a, b, 28, t)
+            bounded = coding._bounded_entries(oracle, config)
+            roles = coding._roles(bounded, 28)
+            problems = validate_config(oracle, config)
+            for e, name in ((a, "a"), (b, "b")):
+                x, s = unpair(e)
+                message = f"endpoint {name}={e} is the code of ({x},{s}) with {x} newly enumerated at {bounded.get(x)}"
+                assert (message in problems) == (e in roles)
+
+
 def test_entries_past_the_stage_bound_are_not_read():
     # 5 is past the stage bound and 26 past the point bound.
     oracle = EnumerationOracle({3: 1, 5: 3, 6: 2, 26: 0}, 4)

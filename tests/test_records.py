@@ -203,24 +203,44 @@ def test_a_subclass_that_keeps_the_fields_constructs_compares_and_clones(cls, fi
     assert type(twin) is sub and twin == record
 
 
-def test_a_constructor_is_compiled_on_first_use_on_the_class_that_names_the_fields():
+def test_the_class_statement_compiles_the_storer_that_is_the_init_of_the_class_that_names_the_fields():
     class Pair(Record):
         _fields = ("left", "right")
 
     class Sub(Pair):
         pass
 
-    assert not inspect.isfunction(vars(Pair)["__init__"]) and "__init__" not in vars(Sub)
-    assert Sub(1, right=2) == Sub(1, 2) != Pair(1, 2)
     init = vars(Pair)["__init__"]
     assert inspect.isfunction(init) and init.__qualname__.endswith("Pair.__init__")
-    assert Pair(3, 4).right == 4 and vars(Pair)["__init__"] is init and "__init__" not in vars(Sub)
+    assert Pair._store is Pair.__init__ is init
+    assert "__init__" not in vars(Sub) and "_store" not in vars(Sub)
+    assert Sub(1, right=2) == Sub(1, 2) != Pair(1, 2)
+    assert Pair(3, 4).right == 4 and vars(Pair)["__init__"] is init
 
     class Late(Record):
         _fields = ("x",)
         _defaults = {"x": 0}
 
     assert str(inspect.signature(Late)) == "(x=0)" and Late().x == 0
+    assert "_store" not in vars(Record)  # it names no field
+
+
+# The classes that write their own constructor and store through ``_store``.
+HAND_WRITTEN = [FiniteVSpace, EnumerationOracle, SpaceDocument]
+
+
+@pytest.mark.parametrize("cls", HAND_WRITTEN, ids=[cls.__name__ for cls in HAND_WRITTEN])
+def test_a_hand_written_constructor_has_a_storer_of_exactly_its_fields(cls):
+    store = vars(cls)["_store"]
+    assert inspect.isfunction(store) and store is not vars(cls)["__init__"]
+    assert store.__qualname__ == f"{cls.__name__}._store"
+    parameters = inspect.signature(store).parameters.values()
+    assert [p.name for p in parameters] == ["self", *cls._fields]
+    assert all(p.default is inspect.Parameter.empty for p in parameters)
+    record = cls(**dict(RECORDS)[cls])
+    twin = cls.__new__(cls)
+    twin._store(*record._values())
+    assert twin == record
 
 
 # The records that hold a read-only mapping, and the field that holds it.

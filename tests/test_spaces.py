@@ -535,6 +535,14 @@ def test_make_space_keeps_keys_outside_the_given_count():
     assert [str(v) for v in space.violations] == ["unknown-point (point 5): system keyed by point outside 0..2"]
 
 
+@pytest.mark.parametrize("num_points", ["3", 2.0, True], ids=repr)
+def test_make_space_with_a_count_that_is_not_an_int_builds_a_space_of_bad_size(num_points):
+    for vicinities, systems in (({}, {}), ({0: [{0}]}, {0: VicinitySystem(0, (frozenset({0}),))})):
+        space = make_space(vicinities, num_points=num_points)
+        assert space == FiniteVSpace(num_points, systems)
+        assert [(v.kind, v.point) for v in space.violations] == [("bad-size", None)]
+
+
 @pytest.mark.parametrize("num_points", [-1, 2.0, True, "3", None], ids=repr)
 def test_bad_point_count_is_one_violation(num_points):
     space = FiniteVSpace(num_points, {0: _system(0, {0}), "x": _system(0, {7})}, "odd")
